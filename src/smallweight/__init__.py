@@ -3,8 +3,9 @@
 The public surface:
 
 * :func:`solve_01_knapsack` — optimal value plus one optimal selection,
-  with a proximity-based back end that scales with the maximum item
-  weight rather than the capacity, and classic fallbacks.
+  with proximity-based back ends (a window DP and the paper pipeline)
+  that scale with the maximum item weight rather than the capacity, and
+  classic fallbacks.
 * :func:`solve_subset_sum` — largest attainable sum not exceeding the
   target, plus whether the target itself is attainable.
 * :mod:`smallweight.cli` — ``generate`` / ``solve`` / ``verify`` /

@@ -45,6 +45,7 @@ SUBSETSUM_ALGOS = frozenset({"subsetsum-fast", "subsetsum-bitset"})
 SOLVE_ALGOS = tuple(ALGO_CHOICES) + tuple(sorted(SUBSETSUM_ALGOS))
 GENERATE_KINDS = ("knapsack", "subsetsum", "adversarial-dense")
 BENCH_SUITES = ("knapsack-scaling", "subsetsum-scaling")
+KNAPSACK_BENCH_ALGOS = ("proximity", "bellman", "window")
 BENCH_HEADER = ("suite", "n", "w_max", "t", "algo", "value", "millis", "entries", "conv_len")
 FAIL_ARTIFACT = "smallweight-fail.txt"
 
@@ -269,13 +270,13 @@ def _knapsack_scaling_rows() -> list[BenchPoint]:
         rng = random.Random(_bench_seed("knapsack-scaling", n, w_max))
         items = _random_knapsack(rng, n, w_max, 4 * w_max, dense=False)
         t = 50 * n * math.isqrt(w_max)
-        rows.append(("knapsack-scaling", w_max, KnapsackInstance(items, t), ("proximity", "bellman")))
+        rows.append(("knapsack-scaling", w_max, KnapsackInstance(items, t), KNAPSACK_BENCH_ALGOS))
     # One tight-capacity point that exercises the full extension pipeline.
     n, w_max = 256, 64
     rng = random.Random(_bench_seed("knapsack-scaling-mid", n, w_max))
     items = _random_knapsack(rng, n, w_max, 4 * w_max, dense=False)
     t = int(0.45 * sum(it.weight for it in items))
-    rows.append(("knapsack-scaling", w_max, KnapsackInstance(items, t), ("proximity", "bellman")))
+    rows.append(("knapsack-scaling", w_max, KnapsackInstance(items, t), KNAPSACK_BENCH_ALGOS))
     return rows
 
 

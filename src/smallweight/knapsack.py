@@ -1,58 +1,131 @@
-"""0-1 knapsack solver: greedy prefix plus two-phase concave extension.
+"""0-1 knapsack solver: the exact routes and the ``auto`` router.
 
-Pipeline: validate and normalize; detect the take-everything case; tie-break
-profits so efficiencies are strictly distinct; take the maximal greedy prefix;
-reduce to the residual problem over signed weight keys with strictly concave
-per-key profiles (``profiles``); run the width-limited base dynamic program;
-extend the base solutions with all positive keys, then all negative keys,
-using the support-restricted extension solvers (``weakextend``); pick the best
-extended entry within the residual capacity; and map the winning per-key
-counts back to concrete items (add the best outside items, drop the cheapest
-prefix items).
+Every route starts from the same normalization: drop items heavier than the
+capacity and answer take-everything instances outright.  Then:
 
-Why the answer is exact even though the extension solvers are only required
-to be optimal at indices whose maximizers respect the support sets: some
-optimal residual solution's support pattern survives in the base table, and
-along that solution's indices the support condition holds, so its value
-appears among the extended entries; conversely every claimed entry, when
-reconstructed, re-evaluates to at least its claimed value (concavity makes
-skipping a key's first step an underestimate), and never above the optimum.
-At the argmax those bounds pinch, which the solver asserts outright.
+* ``bellman`` runs the capacity-indexed DP (``oracles.bellman_solve``):
+  n * (t + 1) cells and an n x (t + 1) bool take matrix.
+* ``window`` runs a 0/1 DP over the moves away from the greedy prefix,
+  restricted to the proximity window (below): at most candidates x
+  (b1 / 2 + 1) * w_max cells, independent of t.
+* ``proximity`` runs the paper pipeline: greedy prefix plus two-phase
+  concave extension (below).
+* ``brute`` enumerates every subset (n <= 24).
+* ``auto`` estimates the cost of ``bellman`` (n * (t + 1) cells) and of
+  ``window`` (its exact cell count, known from per-weight candidate counts
+  before anything window-sized is allocated), weighs both with per-cell and
+  per-row constants measured on a grid of instances, and takes the cheaper of
+  the two that fit ``MEMORY_BUDGET``.  When the window does not fit, it falls
+  back to ``prefer_proximity``'s estimate between the pipeline and bellman,
+  and it takes the pipeline whenever bellman does not fit either, so it never
+  raises ``ResourceLimitError`` while another exact route fits.
 
-The residual window is clipped to what single-copy base solutions plus
-per-key count caps can reach, never beyond the +/- (moved items x max weight)
-bound the proximity argument guarantees, so windows stay near
-``sqrt(w_max) * w_max`` cells instead of ``n * t``.
+Both greedy-based routes rank items by the one exact efficiency order of
+``profiles.efficiency_order`` and take the longest prefix that fits, leaving
+a residual capacity t* in [0, w_max).
+
+**Window DP.**  Some optimum differs from the greedy prefix in at most
+b1 = min(n, 2 * w_max) items (the proximity bound that gate C4 checks); take
+one with the fewest moves.  Within one weight it may as well drop the
+cheapest prefix items and add the best outside items.  Profits are
+non-negative, so it removes no item it could keep: every removed item r has
+A - R + w_r > t*, where R and A are the removed and added weights, so
+R < A + w_max.  With R <= #removals * w_max, A <= #additions * w_max and
+#removals + #additions <= b1, that gives R <= H = floor((b1 + 1) / 2) * w_max,
+and feasibility gives A <= R + t* <= H + t*.  The candidate moves are thus,
+per weight w, the min(b1, H // w) cheapest prefix items (removals, shift -w)
+and the min(b1, (H + t*) // w) best outside items (additions, shift +w).
+The DP processes all removals, then all additions, keeping for every net
+weight offset the best profit change.  The optimum's partial sums stay in
+[-H, 0] during the removals and, as additions only raise the offset to an
+end point of at most t*, in [-H, t*] during the additions.  Clipping the
+table to that window therefore keeps the optimum's path, and every value in
+the table is a genuine move set, so the best offset <= t* is the optimum.
+Values are plain profits in int64 (|values| <= n * 2^32 < 2^55), so no tie
+codec is needed; the witness comes from per-candidate packed take bits.
+
+**Proximity pipeline.**  Tie-break profits so efficiencies are strictly
+distinct; take the maximal greedy prefix; reduce to the residual problem
+over signed weight keys with strictly concave per-key profiles
+(``profiles``); run the width-limited base dynamic program; extend the base
+solutions with all positive keys, then all negative keys, using the
+support-restricted extension solvers (``weakextend``); pick the best extended
+entry within the residual capacity; and map the winning per-key counts back
+to concrete items (add the best outside items, drop the cheapest prefix
+items).
+
+Why the pipeline's answer is exact even though the extension solvers are
+only required to be optimal at indices whose maximizers respect the support
+sets: some optimal residual solution's support pattern survives in the base
+table, and along that solution's indices the support condition holds, so its
+value appears among the extended entries; conversely every claimed entry,
+when reconstructed, re-evaluates to at least its claimed value (concavity
+makes skipping a key's first step an underestimate), and never above the
+optimum.  At the argmax those bounds pinch, which the solver asserts
+outright.  Its residual window is clipped to what single-copy base solutions
+plus per-key count caps can reach, never beyond the +/- (moved items x max
+weight) bound, so windows stay near ``sqrt(w_max) * w_max`` cells instead of
+``n * t``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from .model import (
     ContractError,
     Counters,
     KnapsackInstance,
     NormalizedKnapsack,
+    ResourceLimitError,
+    adjusted_tie,
     normalize_knapsack,
 )
-from .oracles import bellman_solve, brute_force_knapsack
+from .oracles import DEFAULT_CELL_BUDGET, bellman_solve, brute_force_knapsack
 from .profiles import (
     BaseSolutions,
     ProximityInstance,
     build_proximity_instance,
+    efficiency_order,
     prepare_base_solutions,
 )
 from .weakextend import WeakExtendInstance, large_b_extend
 
 __all__ = [
     "ALGO_CHOICES",
+    "MEMORY_BUDGET",
+    "WindowPlan",
+    "choose_route",
+    "plan_window",
     "prefer_proximity",
     "solve_proximity",
+    "solve_window",
     "solve_01_knapsack",
 ]
 
-ALGO_CHOICES = ("auto", "proximity", "bellman", "brute")
+ALGO_CHOICES = ("auto", "window", "proximity", "bellman", "brute")
+
+# Bytes the bellman take matrix or the window DP's take bits and work arrays
+# may occupy.  ``auto`` checks it before picking either route; a forced
+# window raises ResourceLimitError before it allocates beyond it.
+MEMORY_BUDGET = 1 << 28
+
+# Cost model for ``auto``, in nanoseconds, fitted on the measured grid listed
+# in CHANGES.md (n 256..2^16, w_max 16..256, t/total 0.1/0.45/0.9).
+_BELLMAN_NS_PER_CELL = 2.9
+_BELLMAN_NS_PER_ITEM = 8_400.0
+_WINDOW_NS_PER_CELL = 1.5
+_WINDOW_NS_PER_ROW = 8_000.0
+_WINDOW_NS_PER_ITEM = 1_800.0
+
+# Marks unreachable window offsets.  Any value derived from it stays below
+# -2^62 + n * 2^32 < -2^61, far under every reachable value (>= -2^55), and
+# above -2^63, so int64 never wraps.
+_UNREACHED = -(1 << 62)
 
 
 def prefer_proximity(norm: NormalizedKnapsack, proximity_c: int = 4) -> bool:
@@ -70,6 +143,185 @@ def prefer_proximity(norm: NormalizedKnapsack, proximity_c: int = 4) -> bool:
     west = min(n, 2 * distinct)
     b0 = min(math.isqrt(4 * proximity_c * proximity_c * w_max), b1)
     return b0 * w_max * (west + b1) < n * norm.t
+
+
+@dataclass(frozen=True)
+class WindowPlan:
+    """Everything the window DP needs, fixed before it allocates by window size.
+
+    Candidates run removals first (shift -w, cheapest prefix item of each
+    weight first), then additions (shift +w, best outside item first); a
+    candidate's source offsets are [src_lo, src_hi], where the table can
+    already be reached and the target stays inside [lo, hi].
+    """
+
+    prefix_ids: np.ndarray  # original 1-based indices of the greedy prefix
+    prefix_profit: int
+    t_star: int
+    lo: int
+    hi: int
+    shifts: np.ndarray  # signed weight per candidate
+    gains: np.ndarray  # signed profit per candidate
+    ids: np.ndarray  # original 1-based index per candidate
+    src_lo: np.ndarray
+    src_hi: np.ndarray
+
+    @property
+    def row_widths(self) -> np.ndarray:
+        return np.maximum(self.src_hi - self.src_lo + 1, 0)
+
+    @property
+    def cells(self) -> int:
+        return int(self.row_widths.sum())
+
+    @property
+    def nbytes(self) -> int:
+        """Packed take bits plus the int64 table and one row's temporaries."""
+        take = int(((self.row_widths + 7) // 8).sum())
+        return take + 24 * (self.hi - self.lo + 1)
+
+
+def plan_window(norm: NormalizedKnapsack) -> WindowPlan:
+    """Greedy prefix, per-weight candidate moves and the window around them.
+
+    Requires a non-trivial instance (not everything fits).
+    """
+    table = np.fromiter(
+        itertools.chain.from_iterable(norm.items), dtype=np.int64, count=3 * norm.n
+    ).reshape(-1, 3)
+    weights, profits, index = table[:, 0], table[:, 1], table[:, 2]
+    w_max = int(weights.max())
+    ties = adjusted_tie(index, w_max)
+    order = efficiency_order(weights, profits, ties)
+    filled = np.cumsum(weights[order])
+    k = int(np.searchsorted(filled, norm.t, side="right"))
+    in_prefix = np.zeros(norm.n, dtype=bool)
+    in_prefix[order[:k]] = True
+
+    shifts = np.where(in_prefix, -weights, weights)
+    gains = np.where(in_prefix, -profits, profits)
+    # Within a shift, the best move first; among equal profits, the order of
+    # the packed tie-broken profits (cheaper removal, better addition).
+    ranked = np.lexsort((np.where(in_prefix, ties, -ties), -gains, shifts))
+    ranked_shifts = shifts[ranked]
+    starts = np.flatnonzero(np.r_[True, ranked_shifts[1:] != ranked_shifts[:-1]])
+    sizes = np.diff(np.r_[starts, ranked.size])
+    rank = np.arange(ranked.size) - np.repeat(starts, sizes)
+    b1 = min(norm.n, 2 * w_max)
+    span = (b1 + 1) // 2 * w_max  # H in the module docstring
+    t_star = norm.t - (int(filled[k - 1]) if k else 0)
+    reach = np.where(ranked_shifts < 0, span, span + t_star)
+    cand = ranked[rank < np.minimum(b1, reach // np.abs(ranked_shifts))]
+
+    c_shifts = shifts[cand]
+    m = int(np.count_nonzero(c_shifts < 0))  # removals come first
+    lo = max(-span, int(c_shifts[:m].sum()))
+    hi = min(t_star, int(c_shifts[m:].sum()))
+    w_rem = -c_shifts[:m]
+    w_add = c_shifts[m:]
+    removed_before = np.cumsum(w_rem) - w_rem
+    added_before = np.cumsum(w_add) - w_add
+    src_lo = np.concatenate([
+        np.maximum(np.maximum(lo, -removed_before), lo + w_rem),
+        np.full(w_add.size, lo, dtype=np.int64),
+    ])
+    src_hi = np.concatenate([
+        np.zeros(m, dtype=np.int64),
+        np.minimum(np.minimum(hi, added_before), hi - w_add),
+    ])
+    return WindowPlan(
+        prefix_ids=index[order[:k]],
+        prefix_profit=int(profits[order[:k]].sum()),
+        t_star=t_star,
+        lo=lo,
+        hi=hi,
+        shifts=c_shifts,
+        gains=gains[cand],
+        ids=index[cand],
+        src_lo=src_lo,
+        src_hi=src_hi,
+    )
+
+
+def solve_window(
+    plan: WindowPlan, *, counters: Counters | None = None
+) -> tuple[int, np.ndarray]:
+    """Best move set in the window: (profit change, candidate positions).
+
+    Raises ResourceLimitError before allocating if the plan's take bits and
+    table exceed ``MEMORY_BUDGET``.
+    """
+    if plan.nbytes > MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"window DP needs {plan.nbytes} bytes, budget is {MEMORY_BUDGET}"
+        )
+    lo = plan.lo
+    best = np.full(plan.hi - lo + 1, _UNREACHED, dtype=np.int64)
+    best[-lo] = 0
+    shifts = plan.shifts.tolist()
+    src_lo = plan.src_lo.tolist()
+    src_hi = plan.src_hi.tolist()
+    rows: list[np.ndarray | None] = []
+    for d, v, a, b in zip(shifts, plan.gains.tolist(), src_lo, src_hi):
+        if a > b:
+            rows.append(None)
+            continue
+        tgt = best[a + d - lo : b + d - lo + 1]
+        cand = best[a - lo : b - lo + 1] + v
+        take = cand > tgt
+        np.maximum(tgt, cand, out=tgt)
+        rows.append(np.packbits(take))
+    if counters is not None:
+        counters.window_cells += plan.cells
+
+    at = int(np.argmax(best))
+    offset = lo + at
+    chosen: list[int] = []
+    for j in range(len(rows) - 1, -1, -1):
+        row = rows[j]
+        x = offset - (src_lo[j] + shifts[j])
+        if row is not None and 0 <= x <= src_hi[j] - src_lo[j]:
+            if (row[x >> 3] >> (7 - (x & 7))) & 1:
+                chosen.append(j)
+                offset -= shifts[j]
+    if offset != 0:
+        raise ContractError("window take bits did not lead back to offset 0")
+    return int(best[at]), np.array(chosen[::-1], dtype=np.int64)
+
+
+def _bellman_fits(n: int, t: int) -> bool:
+    """Whether ``bellman_solve`` on n items stays inside both budgets: its
+    n x (t + 1) bool take matrix plus a few int64 rows of length t + 1."""
+    cells = n * (t + 1)
+    return cells <= DEFAULT_CELL_BUDGET and cells + 32 * (t + 1) <= MEMORY_BUDGET
+
+
+def choose_route(
+    norm: NormalizedKnapsack, proximity_c: int = 4
+) -> tuple[str, WindowPlan | None]:
+    """The route ``auto`` takes on a non-trivial instance, with the window plan
+    when that route is ``window``.
+
+    Picks the cheaper of bellman and window by the measured cost model among
+    those that fit ``MEMORY_BUDGET``; with no window, ``prefer_proximity``
+    decides, and the pipeline runs whenever bellman does not fit.
+    """
+    n, t = norm.n + len(norm.dropped), norm.t  # bellman keeps a row per input item
+    bellman_fits = _bellman_fits(n, t)
+    plan = plan_window(norm)
+    if plan.nbytes <= MEMORY_BUDGET:
+        bellman_ns = _BELLMAN_NS_PER_CELL * n * (t + 1) + _BELLMAN_NS_PER_ITEM * n
+        window_ns = (
+            _WINDOW_NS_PER_CELL * plan.cells
+            + _WINDOW_NS_PER_ROW * int(np.count_nonzero(plan.row_widths))
+            + _WINDOW_NS_PER_ITEM * norm.n
+        )
+        if bellman_fits and bellman_ns < window_ns:
+            return "bellman", None
+        return "window", plan
+    if bellman_fits and not prefer_proximity(norm, proximity_c):
+        return "bellman", None
+    return "proximity", None
 
 
 def solve_proximity(
@@ -182,6 +434,20 @@ def solve_proximity(
     return best_val, {k: c for k, c in counts.items() if c > 0}
 
 
+def _checked(
+    instance: KnapsackInstance, value: int, selection: list[int]
+) -> tuple[int, tuple[int, ...]]:
+    """Re-price a selection against the instance before returning it."""
+    selection = sorted(selection)
+    check_weight = sum(instance.items[i - 1].weight for i in selection)
+    check_value = sum(instance.items[i - 1].profit for i in selection)
+    if check_weight > instance.t:
+        raise ContractError("selection exceeds the capacity")
+    if check_value != value:
+        raise ContractError("selection value disagrees with the solved value")
+    return value, tuple(selection)
+
+
 def solve_01_knapsack(
     instance: KnapsackInstance,
     *,
@@ -191,9 +457,10 @@ def solve_01_knapsack(
 ) -> tuple[int, tuple[int, ...]]:
     """Optimal value and one optimal selection (1-based item indices).
 
-    ``algo`` picks the engine: "bellman" (capacity DP), "brute" (exhaustive,
-    small n), "proximity" (the prefix + extension pipeline), or "auto", which
-    runs the pipeline exactly when its work estimate beats n * t.
+    ``algo`` picks the route: "window" (DP over moves in the proximity window),
+    "proximity" (the prefix + extension pipeline), "bellman" (capacity DP),
+    "brute" (exhaustive, small n), or "auto", which takes the cheapest route
+    that fits its budgets (``choose_route``).
     """
     if algo not in ALGO_CHOICES:
         raise ValueError(f"unknown algorithm {algo!r}, pick one of {ALGO_CHOICES}")
@@ -207,10 +474,20 @@ def solve_01_knapsack(
             sum(it.profit for it in norm.items),
             tuple(it.index for it in norm.items),
         )
+    plan = None
     if algo == "auto":
-        algo = "proximity" if prefer_proximity(norm, proximity_c) else "bellman"
+        algo, plan = choose_route(norm, proximity_c)
     if algo == "bellman":
         return bellman_solve(instance)
+
+    if algo == "window":
+        plan = plan if plan is not None else plan_window(norm)
+        gain, picked = solve_window(plan, counters=counters)
+        moved = plan.ids[picked]
+        dropped = set(moved[plan.shifts[picked] < 0].tolist())
+        kept = [i for i in plan.prefix_ids.tolist() if i not in dropped]
+        added = moved[plan.shifts[picked] > 0].tolist()
+        return _checked(instance, plan.prefix_profit + gain, kept + added)
 
     prox = build_proximity_instance(norm, proximity_c)
     gain, counts = solve_proximity(prox, counters=counters)
@@ -222,13 +499,5 @@ def solve_01_knapsack(
             additions.update(chosen)
         else:
             removals.update(chosen)
-    selection = sorted((set(prox.prefix_ids) - removals) | additions)
-    value = prox.codec.main(prox.prefix_packed + gain)
-
-    check_weight = sum(instance.items[i - 1].weight for i in selection)
-    check_value = sum(instance.items[i - 1].profit for i in selection)
-    if check_weight > instance.t:
-        raise ContractError("selection exceeds the capacity")
-    if check_value != value:
-        raise ContractError("selection value disagrees with the solved value")
-    return value, tuple(selection)
+    selection = (set(prox.prefix_ids) - removals) | additions
+    return _checked(instance, prox.codec.main(prox.prefix_packed + gain), list(selection))

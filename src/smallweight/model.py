@@ -39,11 +39,15 @@ class Counters:
 
     ``entry_evals`` counts matrix entry evaluations performed by the row-maxima
     machinery; ``conv_output_len`` accumulates the output lengths of integer
-    set convolutions.  Both only ever increase.
+    set convolutions; ``window_cells`` counts the cells the knapsack window
+    DP updates (at most its candidates times its window width), so it is
+    positive exactly when a solve took the window route.  All only ever
+    increase.
     """
 
     entry_evals: int = 0
     conv_output_len: int = 0
+    window_cells: int = 0
 
 
 class ResourceLimitError(RuntimeError):

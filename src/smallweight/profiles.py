@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .model import (
+    MAX_WEIGHT,
     ContractError,
     Counters,
     NormalizedKnapsack,
@@ -39,6 +39,7 @@ __all__ = [
     "ProximityInstance",
     "BaseSolutions",
     "break_ties",
+    "efficiency_order",
     "maximal_prefix",
     "build_proximity_instance",
     "prepare_base_solutions",
@@ -46,6 +47,9 @@ __all__ = [
 
 # Packed DP values beyond this bound switch the base DP to exact Python ints.
 _INT64_SAFE = 1 << 62
+
+# Fraction bits that separate any two distinct ratios x/w, y/v with w, v <= MAX_WEIGHT.
+_RATIO_BITS = 2 * (MAX_WEIGHT.bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -82,14 +86,43 @@ class PrefixResult:
     t_star: int  # residual capacity
 
 
-def maximal_prefix(adjusted: list[AdjustedItem], t: int) -> PrefixResult:
+def efficiency_order(weights: np.ndarray, profits: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    """Item positions by efficiency, best first: (profit/w, tie/w) descending.
+
+    The order is exact and uses int64 only.  For x >= 0 and 1 <= w <= 2^20,
+    floor(x * 2^40 / w) = (x // w) * 2^40 + ((x % w) << 40) // w, and the
+    second part is below 2^40, so the pair (x // w, ((x % w) << 40) // w)
+    sorts exactly as that floor does.  Two distinct ratios x/w != y/v with
+    w, v <= 2^20 differ by at least 1/(w*v) >= 2^-40, so their values scaled
+    by 2^40 differ by at least 1 and their floors differ: the floor is
+    strictly order-preserving.  Every part fits int64: profits are at most
+    2^32 and ties (``adjusted_tie``) below 2^43, and (x % w) << 40 < 2^60.
+
+    ``codec_for`` sizes the packing shift so that packed_i / w_i compares as
+    the pair (p_i / w_i, tie_i / w_i) does lexicographically, so this is the
+    order of the packed efficiencies; ``adjusted_tie`` makes it strict.
+    """
+    keys = []
+    for x in (ties, profits):  # np.lexsort sorts by its last key first
+        keys.append(-(((x % weights) << _RATIO_BITS) // weights))
+        keys.append(-(x // weights))
+    return np.lexsort(keys)
+
+
+def maximal_prefix(adjusted: list[AdjustedItem], t: int, codec: ProfitCodec) -> PrefixResult:
     """Longest efficiency-ordered prefix whose total weight fits in t.
 
-    Efficiencies packed/weight are strictly distinct, so the order is unique.
-    The prefix stops at the first item that does not fit (it is a prefix of
-    the order, not a general greedy subset).
+    Efficiencies packed/weight are strictly distinct, so the order is unique
+    (``efficiency_order``; ``codec`` splits each packed profit into its
+    pair).  The prefix stops at the first item that does not fit (it is a
+    prefix of the order, not a general greedy subset).
     """
-    order = sorted(adjusted, key=lambda it: Fraction(it.packed, it.weight), reverse=True)
+    pairs = np.array(
+        [codec.decode(it.packed) for it in adjusted], dtype=np.int64
+    ).reshape(-1, 2)
+    weights = np.array([it.weight for it in adjusted], dtype=np.int64)
+    ranked = efficiency_order(weights, pairs[:, 0], pairs[:, 1]).tolist()
+    order = [adjusted[i] for i in ranked]
     prefix_ids: list[int] = []
     weight = 0
     packed = 0
@@ -206,7 +239,7 @@ def build_proximity_instance(
     if normalized.trivial_all:
         raise ValueError("take-everything instances never reach the reducer")
     codec, adjusted = break_ties(normalized)
-    prefix = maximal_prefix(adjusted, normalized.t)
+    prefix = maximal_prefix(adjusted, normalized.t, codec)
     w_max = normalized.w_max
     n = normalized.n
     b1 = min(n, 2 * w_max)

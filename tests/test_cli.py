@@ -102,11 +102,12 @@ def test_generate_target_flags(capsys):
 def test_solve_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     path = tmp_path / "a.txt"
     path.write_text(TWO_ITEMS_T4)
-    for algo in ("auto", "brute", "bellman", "proximity"):
+    for algo in ("auto", "brute", "bellman", "proximity", "window"):
         code, out, _ = run(capsys, ["solve", str(path), "--algo", algo])
         assert code == 0 and out == "value 4\n"
-    code, out, _ = run(capsys, ["solve", str(path), "--witness", "--algo", "brute"])
-    assert code == 0 and out == "value 4\nitems 2\n"
+    for algo in ("brute", "window"):
+        code, out, _ = run(capsys, ["solve", str(path), "--witness", "--algo", algo])
+        assert code == 0 and out == "value 4\nitems 2\n"
 
     monkeypatch.setattr(sys, "stdin", io.StringIO(TWO_ITEMS_T5))
     code, out, _ = run(capsys, ["solve", "--witness"])
@@ -178,6 +179,13 @@ def test_verify_agreeing_algorithms(capsys):
          "--wmax", "12", "--seed", "5"],
     )
     assert code == 0 and out == "25/25 ok\n"
+
+    code, out, _ = run(
+        capsys,
+        ["verify", "--algos", "window,bellman", "--trials", "200", "--n", "40",
+         "--wmax", "20", "--seed", "6"],
+    )
+    assert code == 0 and out == "200/200 ok\n"
 
     code, out, _ = run(
         capsys,
@@ -301,7 +309,7 @@ def test_bench_row_builders_are_deterministic():
         (s, w, i.items, i.t) for s, w, i, _ in second
     ]
     assert [w for _, w, _, _ in first] == [64, 256, 1024, 64]
-    assert all(a == ("proximity", "bellman") for _, _, _, a in first)
+    assert all(a == ("proximity", "bellman", "window") for _, _, _, a in first)
 
     subs = cli._subsetsum_scaling_rows()
     assert [w for _, w, _, _ in subs] == [64, 256, 1024]

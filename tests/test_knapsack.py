@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import rand_knapsack
+from smallweight import knapsack
 from smallweight.knapsack import (
     ALGO_CHOICES,
+    MEMORY_BUDGET,
+    choose_route,
+    plan_window,
     prefer_proximity,
     solve_01_knapsack,
     solve_proximity,
@@ -19,6 +24,7 @@ from smallweight.model import (
     Item,
     KnapsackInstance,
     ProfitCodec,
+    ResourceLimitError,
     normalize_knapsack,
 )
 from smallweight.oracles import (
@@ -153,7 +159,7 @@ def test_matches_brute_force_on_small_instances():
     for _ in range(300):
         inst = rand_knapsack(rng, n_max=10, w_max=12)
         want_value, _ = brute_force_knapsack(inst)
-        for algo in ("proximity", "bellman", "auto"):
+        for algo in ("proximity", "bellman", "window", "auto"):
             value, selection = solve_01_knapsack(inst, algo=algo)
             assert value == want_value
             check_selection(inst, value, selection)
@@ -166,9 +172,10 @@ def test_matches_capacity_dp_on_mid_instances():
             rng, n_max=40, w_max=18, dense=(trial % 3 == 0)
         )
         want_value, _ = bellman_solve(inst)
-        value, selection = solve_01_knapsack(inst, algo="proximity")
-        assert value == want_value
-        check_selection(inst, value, selection)
+        for algo in ("proximity", "window"):
+            value, selection = solve_01_knapsack(inst, algo=algo)
+            assert value == want_value
+            check_selection(inst, value, selection)
 
 
 def test_solution_stays_near_the_greedy_prefix():
@@ -211,6 +218,71 @@ def test_engine_estimate_prefers_the_pipeline_at_large_capacity():
         )
 
 
+def random_instance(seed, n, w_max, t_ratio):
+    rng = random.Random(seed)
+    items = [(rng.randint(1, w_max), rng.randint(0, 4 * w_max)) for _ in range(n)]
+    return inst_of(items, int(t_ratio * sum(w for w, _ in items)))
+
+
+def solve_recording_route(inst, monkeypatch):
+    """Solve with auto; the route shows in the counters or a bellman call."""
+    calls = []
+    real = knapsack.bellman_solve
+    monkeypatch.setattr(knapsack, "bellman_solve", lambda i: calls.append(i) or real(i))
+    counters = Counters()
+    value, selection = solve_01_knapsack(inst, counters=counters)
+    check_selection(inst, value, selection)
+    if calls:
+        return "bellman", value
+    return ("window" if counters.window_cells else "proximity"), value
+
+
+def test_auto_routes_by_measured_cost(monkeypatch):
+    # Mid capacity: the window DP wins (pipeline ~11 s, bellman and window
+    # tens of ms on a 2-core VM); auto must not take the pipeline.
+    mid = random_instance(1, 1024, 64, 0.45)
+    assert choose_route(normalize_knapsack(mid))[0] == "window"
+    route, value = solve_recording_route(mid, monkeypatch)
+    assert route == "window"
+    assert value == bellman_solve(mid)[0]
+    # Tiny capacity: a few thousand bellman cells beat the window's set-up.
+    tiny = random_instance(2, 256, 32, 0.02)
+    route, value = solve_recording_route(tiny, monkeypatch)
+    assert route == "bellman"
+    assert value == solve_01_knapsack(tiny, algo="window")[0]
+
+
+def test_auto_takes_the_window_where_bellman_does_not_fit(monkeypatch):
+    big = random_instance(3, 1 << 16, 16, 0.45)
+    assert not knapsack._bellman_fits(big.n, big.t)
+    route, value = solve_recording_route(big, monkeypatch)
+    assert route == "window"
+    assert value == solve_01_knapsack(big, algo="proximity")[0]
+
+
+def test_forced_window_over_budget_raises_before_allocating():
+    rng = random.Random(5)
+    heavy = inst_of(
+        [(rng.randint(1 << 19, 1 << 20), rng.randint(0, 1 << 32)) for _ in range(128)],
+        0,
+    )
+    heavy = KnapsackInstance(heavy.items, sum(w for w, _ in heavy.items) // 2)
+    norm = normalize_knapsack(heavy)
+    assert plan_window(norm).nbytes > MEMORY_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            solve_01_knapsack(heavy, algo="window")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # auto neither raises nor runs out of memory choosing: the window and
+    # bellman are both over budget, so only the pipeline is left.
+    assert not knapsack._bellman_fits(heavy.n, heavy.t)
+    assert choose_route(norm)[0] == "proximity"
+
+
 def test_counters_populated_by_the_pipeline():
     rng = random.Random(45)
     counters = Counters()
@@ -221,3 +293,8 @@ def test_counters_populated_by_the_pipeline():
             break
     solve_01_knapsack(inst, algo="proximity", counters=counters)
     assert counters.entry_evals > 0
+    assert counters.window_cells == 0
+    plan = plan_window(normalize_knapsack(inst))
+    for _ in range(2):
+        solve_01_knapsack(inst, algo="window", counters=counters)
+    assert counters.window_cells == 2 * plan.cells > 0

@@ -6,10 +6,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import rand_knapsack
 from smallweight.model import (
+    MAX_PROFIT,
+    MAX_WEIGHT,
     ContractError,
     Counters,
     Item,
@@ -23,6 +26,7 @@ from smallweight.profiles import (
     ProximityInstance,
     break_ties,
     build_proximity_instance,
+    efficiency_order,
     maximal_prefix,
     prepare_base_solutions,
 )
@@ -50,8 +54,8 @@ def test_break_ties_distinct_profits_and_efficiencies():
 
 def test_maximal_prefix_stops_at_first_overflow():
     norm = normalized([(5, 10), (6, 6), (1, 1)], 6)
-    _, adjusted = break_ties(norm)
-    prefix = maximal_prefix(adjusted, norm.t)
+    codec, adjusted = break_ties(norm)
+    prefix = maximal_prefix(adjusted, norm.t, codec)
     # efficiency order: item 1 (2.0), then item 3 (1.0 with the larger tie
     # per unit weight), then item 2; the prefix stops when item 2 overflows
     assert prefix.order == (1, 3, 2)
@@ -63,8 +67,8 @@ def test_maximal_prefix_stops_at_first_overflow():
 def test_maximal_prefix_is_a_prefix_not_a_greedy_subset():
     # item 2 overflows but item 3 would still fit; a prefix must not skip
     norm = normalized([(4, 100), (5, 10), (1, 1)], 5)
-    _, adjusted = break_ties(norm)
-    prefix = maximal_prefix(adjusted, norm.t)
+    codec, adjusted = break_ties(norm)
+    prefix = maximal_prefix(adjusted, norm.t, codec)
     assert prefix.order == (1, 2, 3)
     assert prefix.prefix_ids == (1,)
     assert prefix.t_star == 1
@@ -74,8 +78,8 @@ def test_prefix_weight_and_packed_are_consistent():
     rng = random.Random(61)
     for _ in range(100):
         norm = normalize_knapsack(rand_knapsack(rng, n_max=16, w_max=10))
-        _, adjusted = break_ties(norm)
-        prefix = maximal_prefix(adjusted, norm.t)
+        codec, adjusted = break_ties(norm)
+        prefix = maximal_prefix(adjusted, norm.t, codec)
         by_id = {it.index: it for it in adjusted}
         assert prefix.prefix_weight == sum(by_id[i].weight for i in prefix.prefix_ids)
         assert prefix.prefix_packed == sum(by_id[i].packed for i in prefix.prefix_ids)
@@ -83,6 +87,71 @@ def test_prefix_weight_and_packed_are_consistent():
         rest = [by_id[i] for i in prefix.order[len(prefix.prefix_ids):]]
         if rest:
             assert prefix.prefix_weight + rest[0].weight > norm.t
+
+
+def _neighbours(rng: random.Random, top: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(x, w), (y, v) with x*v - y*w = 1 and w, v near 2^20, so x/w and y/v
+    differ by 1/(w*v), about 2^-40; x, y <= top."""
+    while True:
+        w = rng.randint(MAX_WEIGHT - 4096, MAX_WEIGHT)
+        v = rng.randint(MAX_WEIGHT - 4096, MAX_WEIGHT)
+        if math.gcd(w, v) == 1:
+            break
+    x = pow(v, -1, w)
+    y = (x * v - 1) // w
+    k = rng.randint(0, (top - max(x, y)) // MAX_WEIGHT)
+    return (x + k * w, w), (y + k * v, v)
+
+
+def _tie_heavy(rng: random.Random) -> tuple[list[tuple[int, int]], list[int]]:
+    """Items (weight, profit) and ties whose ratios tie exactly (scaled copies
+    of a few ratios) or differ by about 2^-40 (neighbouring fractions)."""
+    items: list[tuple[int, int]] = []
+    ties: list[int] = []
+    size = rng.randint(2, 120)
+    while len(items) < size:
+        shape = rng.randrange(4)
+        if shape == 0:  # exact multiples of a small base ratio
+            p0, w0 = rng.randint(0, 40), rng.randint(1, 40)
+            k = rng.randint(1, MAX_WEIGHT // w0)
+            items.append((w0 * k, min(p0 * k, MAX_PROFIT)))
+            ties.append(rng.randint(1, 1 << 43))
+        elif shape == 1:  # profit ratios 2^-40 apart
+            (x, w), (y, v) = _neighbours(rng, MAX_PROFIT)
+            items += [(w, x), (v, y)]
+            ties += [rng.randint(1, 1 << 43), rng.randint(1, 1 << 43)]
+        elif shape == 2:  # equal profit ratios, tie ratios 2^-40 apart
+            (x, w), (y, v) = _neighbours(rng, 1 << 43)
+            items += [(w, 0), (v, 0)]
+            ties += [x, y]
+        else:
+            items.append((rng.randint(1, rng.choice((4, MAX_WEIGHT))),
+                          rng.randint(0, rng.choice((8, MAX_PROFIT)))))
+            ties.append(rng.randint(1, 1 << 43))
+    return items, ties
+
+
+def test_efficiency_order_matches_the_fraction_order_on_tie_heavy_instances():
+    rng = random.Random(62)
+    for _ in range(150):
+        items, ties = _tie_heavy(rng)
+        # The solver's own ties: the prefix order is the packed-fraction order.
+        norm = normalized(items, rng.randint(0, sum(w for w, _ in items)))
+        if norm.n:
+            codec, adjusted = break_ties(norm)
+            by_fraction = sorted(adjusted, key=lambda it: Fraction(it.packed, it.weight),
+                                 reverse=True)
+            assert maximal_prefix(adjusted, norm.t, codec).order == tuple(
+                it.index for it in by_fraction
+            )
+        # Arbitrary ties up to 2^43: the order is (p/w, tie/w) descending.
+        keys = [(Fraction(p, w), Fraction(tie, w)) for (w, p), tie in zip(items, ties)]
+        got = efficiency_order(
+            np.array([w for w, _ in items], dtype=np.int64),
+            np.array([p for _, p in items], dtype=np.int64),
+            np.array(ties, dtype=np.int64),
+        )
+        assert [keys[i] for i in got.tolist()] == sorted(keys, reverse=True)
 
 
 # -- concave profiles -----------------------------------------------------------
