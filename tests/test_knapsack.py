@@ -245,7 +245,7 @@ def test_auto_routes_by_measured_cost(monkeypatch):
     route, value = solve_recording_route(mid, monkeypatch)
     assert route == "window"
     assert value == bellman_solve(mid)[0]
-    # Tiny capacity: a few thousand bellman cells beat the window's set-up.
+    # Tiny capacity: about 2e4 bellman cells beat the window's per-row set-up.
     tiny = random_instance(2, 256, 32, 0.02)
     route, value = solve_recording_route(tiny, monkeypatch)
     assert route == "bellman"
@@ -262,11 +262,8 @@ def test_auto_takes_the_window_where_bellman_does_not_fit(monkeypatch):
 
 def test_forced_window_over_budget_raises_before_allocating():
     rng = random.Random(5)
-    heavy = inst_of(
-        [(rng.randint(1 << 19, 1 << 20), rng.randint(0, 1 << 32)) for _ in range(128)],
-        0,
-    )
-    heavy = KnapsackInstance(heavy.items, sum(w for w, _ in heavy.items) // 2)
+    items = [(rng.randint(1 << 19, 1 << 20), rng.randint(0, 1 << 32)) for _ in range(128)]
+    heavy = inst_of(items, sum(w for w, _ in items) // 2)
     norm = normalize_knapsack(heavy)
     assert plan_window(norm).nbytes > MEMORY_BUDGET
     tracemalloc.start()
