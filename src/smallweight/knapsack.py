@@ -17,12 +17,12 @@ capacity and answer take-everything instances outright.  Then:
   per-row constants measured on a grid of instances, and takes the cheaper of
   the two that fit ``MEMORY_BUDGET``.  When the window does not fit, it falls
   back to ``prefer_proximity``'s estimate between the pipeline and bellman,
-  and it takes the pipeline whenever bellman does not fit either, so it never
-  raises ``ResourceLimitError`` while another exact route fits.
+  takes the other of the two when the preferred one does not fit, and raises
+  ``ResourceLimitError`` before allocating when none fits.
 
-Both greedy-based routes rank items by the one exact efficiency order of
-``profiles.efficiency_order`` and take the longest prefix that fits, leaving
-a residual capacity t* in [0, w_max).
+Both greedy-based routes start from ``profiles.greedy_prefix``: the one exact
+efficiency order (``profiles.efficiency_order``) and the longest prefix of it
+that fits, leaving a residual capacity t* in [0, w_max).
 
 **Window DP.**  Some optimum differs from the greedy prefix in at most
 b1 = min(n, 2 * w_max) items (the proximity bound that gate C4 checks); take
@@ -70,7 +70,6 @@ weight) bound, so windows stay near ``sqrt(w_max) * w_max`` cells instead of
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,15 +81,15 @@ from .model import (
     KnapsackInstance,
     NormalizedKnapsack,
     ResourceLimitError,
-    adjusted_tie,
     normalize_knapsack,
 )
 from .oracles import DEFAULT_CELL_BUDGET, bellman_solve, brute_force_knapsack
 from .profiles import (
     BaseSolutions,
     ProximityInstance,
+    base_window,
     build_proximity_instance,
-    efficiency_order,
+    greedy_prefix,
     prepare_base_solutions,
 )
 from .weakextend import WeakExtendInstance, large_b_extend
@@ -109,9 +108,10 @@ __all__ = [
 
 ALGO_CHOICES = ("auto", "window", "proximity", "bellman", "brute")
 
-# Bytes the bellman take matrix or the window DP's take bits and work arrays
-# may occupy.  ``auto`` checks it before picking either route; a forced
-# window raises ResourceLimitError before it allocates beyond it.
+# Bytes the bellman take matrix, the window DP's take bits and work arrays, or
+# the pipeline's tables may occupy.  ``auto`` checks it before picking a
+# route; a forced route raises ResourceLimitError before it allocates beyond
+# it (for the pipeline, beyond a lower bound on its tables).
 MEMORY_BUDGET = 1 << 28
 
 # Cost model for ``auto``, in nanoseconds, fitted on the measured grid listed
@@ -121,6 +121,10 @@ _BELLMAN_NS_PER_ITEM = 8_400.0
 _WINDOW_NS_PER_CELL = 1.5
 _WINDOW_NS_PER_ROW = 8_000.0
 _WINDOW_NS_PER_ITEM = 1_800.0
+
+# Five Python lists per window candidate (shift, gain, source bounds, take-bit
+# offset), each a pointer plus an int object.
+_LIST_BYTES = 5 * 40
 
 # Marks unreachable window offsets.  Any value derived from it stays below
 # -2^62 + n * 2^32 < -2^61, far under every reachable value (>= -2^55), and
@@ -176,9 +180,11 @@ class WindowPlan:
 
     @property
     def nbytes(self) -> int:
-        """Packed take bits plus the int64 table and one row's temporaries."""
+        """Bytes ``solve_window`` allocates: the packed take bits, the int64
+        table plus one row's temporaries (int64 candidates, their bool mask
+        and its packed copy), and its per-candidate Python int lists."""
         take = int(((self.row_widths + 7) // 8).sum())
-        return take + 24 * (self.hi - self.lo + 1)
+        return take + 32 * (self.hi - self.lo + 1) + _LIST_BYTES * self.shifts.size
 
 
 def plan_window(norm: NormalizedKnapsack) -> WindowPlan:
@@ -186,17 +192,11 @@ def plan_window(norm: NormalizedKnapsack) -> WindowPlan:
 
     Requires a non-trivial instance (not everything fits).
     """
-    table = np.fromiter(
-        itertools.chain.from_iterable(norm.items), dtype=np.int64, count=3 * norm.n
-    ).reshape(-1, 3)
-    weights, profits, index = table[:, 0], table[:, 1], table[:, 2]
-    w_max = int(weights.max())
-    ties = adjusted_tie(index, w_max)
-    order = efficiency_order(weights, profits, ties)
-    filled = np.cumsum(weights[order])
-    k = int(np.searchsorted(filled, norm.t, side="right"))
+    greedy = greedy_prefix(norm)
+    weights, profits, index, ties = greedy.weights, greedy.profits, greedy.index, greedy.ties
+    head = greedy.order[: greedy.k]
     in_prefix = np.zeros(norm.n, dtype=bool)
-    in_prefix[order[:k]] = True
+    in_prefix[head] = True
 
     shifts = np.where(in_prefix, -weights, weights)
     gains = np.where(in_prefix, -profits, profits)
@@ -207,9 +207,10 @@ def plan_window(norm: NormalizedKnapsack) -> WindowPlan:
     starts = np.flatnonzero(np.r_[True, ranked_shifts[1:] != ranked_shifts[:-1]])
     sizes = np.diff(np.r_[starts, ranked.size])
     rank = np.arange(ranked.size) - np.repeat(starts, sizes)
+    w_max = int(weights.max())
     b1 = min(norm.n, 2 * w_max)
     span = (b1 + 1) // 2 * w_max  # H in the module docstring
-    t_star = norm.t - (int(filled[k - 1]) if k else 0)
+    t_star = greedy.t_star
     reach = np.where(ranked_shifts < 0, span, span + t_star)
     cand = ranked[rank < np.minimum(b1, reach // np.abs(ranked_shifts))]
 
@@ -230,8 +231,8 @@ def plan_window(norm: NormalizedKnapsack) -> WindowPlan:
         np.minimum(np.minimum(hi, added_before), hi - w_add),
     ])
     return WindowPlan(
-        prefix_ids=index[order[:k]],
-        prefix_profit=int(profits[order[:k]].sum()),
+        prefix_ids=index[head],
+        prefix_profit=int(profits[head].sum()),
         t_star=t_star,
         lo=lo,
         hi=hi,
@@ -258,53 +259,83 @@ def solve_window(
     lo = plan.lo
     best = np.full(plan.hi - lo + 1, _UNREACHED, dtype=np.int64)
     best[-lo] = 0
+    row_bytes = (plan.row_widths + 7) // 8
+    bits = np.empty(int(row_bytes.sum()), dtype=np.uint8)  # packed take bits
+    offsets = (np.cumsum(row_bytes) - row_bytes).tolist()
     shifts = plan.shifts.tolist()
     src_lo = plan.src_lo.tolist()
     src_hi = plan.src_hi.tolist()
-    rows: list[np.ndarray | None] = []
-    for d, v, a, b in zip(shifts, plan.gains.tolist(), src_lo, src_hi):
+    for d, v, a, b, at in zip(shifts, plan.gains.tolist(), src_lo, src_hi, offsets):
         if a > b:
-            rows.append(None)
             continue
         tgt = best[a + d - lo : b + d - lo + 1]
         cand = best[a - lo : b - lo + 1] + v
         take = cand > tgt
         np.maximum(tgt, cand, out=tgt)
-        rows.append(np.packbits(take))
+        bits[at : at + ((b - a) >> 3) + 1] = np.packbits(take)
     if counters is not None:
         counters.window_cells += plan.cells
 
-    at = int(np.argmax(best))
-    offset = lo + at
+    top = int(np.argmax(best))
+    offset = lo + top
     chosen: list[int] = []
-    for j in range(len(rows) - 1, -1, -1):
-        row = rows[j]
+    for j in range(len(shifts) - 1, -1, -1):
         x = offset - (src_lo[j] + shifts[j])
-        if row is not None and 0 <= x <= src_hi[j] - src_lo[j]:
-            if (row[x >> 3] >> (7 - (x & 7))) & 1:
+        if 0 <= x <= src_hi[j] - src_lo[j]:
+            if (bits[offsets[j] + (x >> 3)] >> (7 - (x & 7))) & 1:
                 chosen.append(j)
                 offset -= shifts[j]
     if offset != 0:
         raise ContractError("window take bits did not lead back to offset 0")
-    return int(best[at]), np.array(chosen[::-1], dtype=np.int64)
+    return int(best[top]), np.array(chosen[::-1], dtype=np.int64)
+
+
+def _bellman_nbytes(n: int, t: int) -> int:
+    """Bytes ``bellman_solve`` allocates on n items: its n x (t + 1) bool take
+    matrix plus a few int64 rows of length t + 1."""
+    return n * (t + 1) + 32 * (t + 1)
 
 
 def _bellman_fits(n: int, t: int) -> bool:
-    """Whether ``bellman_solve`` on n items stays inside both budgets: its
-    n x (t + 1) bool take matrix plus a few int64 rows of length t + 1."""
-    cells = n * (t + 1)
-    return cells <= DEFAULT_CELL_BUDGET and cells + 32 * (t + 1) <= MEMORY_BUDGET
+    """Whether ``bellman_solve`` on n items stays inside both budgets."""
+    return n * (t + 1) <= DEFAULT_CELL_BUDGET and _bellman_nbytes(n, t) <= MEMORY_BUDGET
+
+
+def _extension_windows(prox: ProximityInstance, lo: int, hi: int) -> tuple[int, int]:
+    """``solve_proximity``'s phase windows from the base window [lo, hi]: phase
+    1 covers [lo, hi1], phase 2 [lo2, hi1].  Reachable indices only grow, by at
+    most the summed per-key caps, and never beyond +/- b1 * w_max."""
+    width_cap = prox.b1 * prox.w_max
+    profiles = prox.profiles
+    hi1 = min(width_cap, hi + sum(profiles[k].k * k for k in prox.keys_positive))
+    lo2 = max(-width_cap, lo + sum(profiles[k].k * k for k in prox.keys_negative))
+    return hi1, lo2
+
+
+def _pipeline_nbytes(prox: ProximityInstance) -> int:
+    """A lower bound on the bytes the pipeline allocates: the base table (int64
+    values and candidates, int32 counts, bool flags and update row per cell,
+    plus one packed fired row per key) and the two per-index Python lists of
+    each extension phase.  The extension solvers' own work comes on top."""
+    lo, hi = base_window(prox)
+    size = hi - lo + 1
+    hi1, lo2 = _extension_windows(prox, lo, hi)
+    base = 22 * size + len(prox.profiles) * ((size + 7) // 8)
+    return base + 16 * ((hi1 - lo + 1) + (hi1 - lo2 + 1))
 
 
 def choose_route(
     norm: NormalizedKnapsack, proximity_c: int = 4
-) -> tuple[str, WindowPlan | None]:
-    """The route ``auto`` takes on a non-trivial instance, with the window plan
-    when that route is ``window``.
+) -> tuple[str, WindowPlan | ProximityInstance | None]:
+    """The route ``auto`` takes on a non-trivial instance, with what it built
+    while choosing: the window plan or the proximity instance.
 
     Picks the cheaper of bellman and window by the measured cost model among
-    those that fit ``MEMORY_BUDGET``; with no window, ``prefer_proximity``
-    decides, and the pipeline runs whenever bellman does not fit.
+    those that fit ``MEMORY_BUDGET``.  When the window does not fit,
+    ``prefer_proximity`` decides between the pipeline and bellman, and the
+    other one runs when the preferred one does not fit (for the pipeline: when
+    even ``_pipeline_nbytes``'s lower bound exceeds the budget).  With none
+    fitting it raises ResourceLimitError before allocating any of them.
     """
     n, t = norm.n + len(norm.dropped), norm.t  # bellman keeps a row per input item
     bellman_fits = _bellman_fits(n, t)
@@ -321,7 +352,16 @@ def choose_route(
         return "window", plan
     if bellman_fits and not prefer_proximity(norm, proximity_c):
         return "bellman", None
-    return "proximity", None
+    prox = build_proximity_instance(norm, proximity_c)
+    if _pipeline_nbytes(prox) <= MEMORY_BUDGET:
+        return "proximity", prox
+    if bellman_fits:
+        return "bellman", None
+    raise ResourceLimitError(
+        f"no exact route fits the {MEMORY_BUDGET}-byte budget: window needs "
+        f"{plan.nbytes} bytes, bellman {_bellman_nbytes(n, t)}, the pipeline "
+        f"at least {_pipeline_nbytes(prox)}"
+    )
 
 
 def solve_proximity(
@@ -334,6 +374,11 @@ def solve_proximity(
     cheapest prefix items of weight w".  The returned counts always re-evaluate
     to exactly the returned gain and respect the per-key item caps.
     """
+    need = _pipeline_nbytes(prox)
+    if need > MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"proximity pipeline needs at least {need} bytes, budget is {MEMORY_BUDGET}"
+        )
     base = prepare_base_solutions(prox, counters=counters)
     supports = base.supports_all()
 
@@ -353,13 +398,12 @@ def solve_proximity(
     profiles = prox.profiles
     pos_keys = prox.keys_positive
     neg_keys = prox.keys_negative
-    width_cap = prox.b1 * prox.w_max
     bound = max(prox.b0, 1)
-
-    # Phase 1: extend along positive keys.  Reachable indices start at the
-    # base window and can only grow, by at most the summed per-key caps.
     w1_lo = base.lo
-    w1_hi = min(width_cap, base.hi + sum(profiles[k].k * k for k in pos_keys))
+    w1_hi, w2_lo = _extension_windows(prox, base.lo, base.hi)
+    w2_hi = w1_hi
+
+    # Phase 1: extend along positive keys.
     len1 = w1_hi - w1_lo + 1
     q1: list[int | None] = [None] * len1
     h1: list[int | None] = [None] * len1
@@ -378,8 +422,6 @@ def solve_proximity(
 
     # Phase 2: extend along negative keys; profits seed from phase 1 and the
     # support sets follow each entry's phase-1 origin.
-    w2_hi = w1_hi
-    w2_lo = max(-width_cap, w1_lo + sum(profiles[k].k * k for k in neg_keys))
     len2 = w2_hi - w2_lo + 1
     q2: list[int | None] = [None] * len2
     h2: list[int | None] = [None] * len2
@@ -474,14 +516,19 @@ def solve_01_knapsack(
             sum(it.profit for it in norm.items),
             tuple(it.index for it in norm.items),
         )
-    plan = None
+    built = None
     if algo == "auto":
-        algo, plan = choose_route(norm, proximity_c)
+        algo, built = choose_route(norm, proximity_c)
     if algo == "bellman":
+        if _bellman_nbytes(instance.n, instance.t) > MEMORY_BUDGET:
+            raise ResourceLimitError(
+                f"capacity DP needs {_bellman_nbytes(instance.n, instance.t)} "
+                f"bytes, budget is {MEMORY_BUDGET}"
+            )
         return bellman_solve(instance)
 
     if algo == "window":
-        plan = plan if plan is not None else plan_window(norm)
+        plan = built if isinstance(built, WindowPlan) else plan_window(norm)
         gain, picked = solve_window(plan, counters=counters)
         moved = plan.ids[picked]
         dropped = set(moved[plan.shifts[picked] < 0].tolist())
@@ -489,7 +536,10 @@ def solve_01_knapsack(
         added = moved[plan.shifts[picked] > 0].tolist()
         return _checked(instance, plan.prefix_profit + gain, kept + added)
 
-    prox = build_proximity_instance(norm, proximity_c)
+    if isinstance(built, ProximityInstance):
+        prox = built
+    else:
+        prox = build_proximity_instance(norm, proximity_c)
     gain, counts = solve_proximity(prox, counters=counters)
     removals: set[int] = set()
     additions: set[int] = set()

@@ -17,6 +17,7 @@ masks backward.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,11 +37,14 @@ __all__ = [
     "AdjustedItem",
     "ConcaveProfile",
     "PrefixResult",
+    "GreedyPrefix",
     "ProximityInstance",
     "BaseSolutions",
     "break_ties",
     "efficiency_order",
+    "greedy_prefix",
     "maximal_prefix",
+    "base_window",
     "build_proximity_instance",
     "prepare_base_solutions",
 ]
@@ -109,35 +113,63 @@ def efficiency_order(weights: np.ndarray, profits: np.ndarray, ties: np.ndarray)
     return np.lexsort(keys)
 
 
-def maximal_prefix(adjusted: list[AdjustedItem], t: int, codec: ProfitCodec) -> PrefixResult:
+@dataclass(frozen=True)
+class GreedyPrefix:
+    """The greedy order and its longest fitting prefix, as int64 arrays
+    indexed by position in ``normalized.items``."""
+
+    weights: np.ndarray
+    profits: np.ndarray
+    index: np.ndarray  # original 1-based indices
+    ties: np.ndarray  # ``adjusted_tie`` per item
+    order: np.ndarray  # positions, efficiency-descending
+    k: int  # prefix length: the prefix is order[:k]
+    weight: int  # prefix weight
+    t_star: int  # residual capacity
+
+
+def greedy_prefix(normalized: NormalizedKnapsack) -> GreedyPrefix:
+    """Order items by ``efficiency_order`` on (profit, ``adjusted_tie``) and
+    take the longest prefix of that order that fits.
+
+    This is the one greedy order of the package: both the proximity pipeline
+    and the window DP start from it.  The prefix stops at the first item that
+    does not fit (it is a prefix of the order, not a general greedy subset).
+    """
+    table = np.fromiter(
+        itertools.chain.from_iterable(normalized.items),
+        dtype=np.int64,
+        count=3 * normalized.n,
+    ).reshape(-1, 3)
+    weights, profits, index = table[:, 0], table[:, 1], table[:, 2]
+    ties = adjusted_tie(index, int(weights.max(initial=1)))
+    order = efficiency_order(weights, profits, ties)
+    filled = np.cumsum(weights[order])
+    k = int(np.searchsorted(filled, normalized.t, side="right"))
+    weight = int(filled[k - 1]) if k else 0
+    return GreedyPrefix(
+        weights, profits, index, ties, order, k, weight, normalized.t - weight
+    )
+
+
+def maximal_prefix(
+    normalized: NormalizedKnapsack, adjusted: list[AdjustedItem]
+) -> PrefixResult:
     """Longest efficiency-ordered prefix whose total weight fits in t.
 
-    Efficiencies packed/weight are strictly distinct, so the order is unique
-    (``efficiency_order``; ``codec`` splits each packed profit into its
-    pair).  The prefix stops at the first item that does not fit (it is a
-    prefix of the order, not a general greedy subset).
+    ``adjusted`` is ``break_ties(normalized)``'s item list; packed
+    efficiencies packed/weight are strictly distinct and sort exactly as
+    ``greedy_prefix``'s order does (``efficiency_order``), so the order is
+    unique.
     """
-    pairs = np.array(
-        [codec.decode(it.packed) for it in adjusted], dtype=np.int64
-    ).reshape(-1, 2)
-    weights = np.array([it.weight for it in adjusted], dtype=np.int64)
-    ranked = efficiency_order(weights, pairs[:, 0], pairs[:, 1]).tolist()
-    order = [adjusted[i] for i in ranked]
-    prefix_ids: list[int] = []
-    weight = 0
-    packed = 0
-    for it in order:
-        if weight + it.weight > t:
-            break
-        weight += it.weight
-        packed += it.packed
-        prefix_ids.append(it.index)
+    greedy = greedy_prefix(normalized)
+    head = greedy.order[: greedy.k].tolist()
     return PrefixResult(
-        tuple(it.index for it in order),
-        tuple(prefix_ids),
-        weight,
-        packed,
-        t - weight,
+        tuple(greedy.index[greedy.order].tolist()),
+        tuple(greedy.index[head].tolist()),
+        greedy.weight,
+        sum(adjusted[i].packed for i in head),
+        greedy.t_star,
     )
 
 
@@ -239,7 +271,7 @@ def build_proximity_instance(
     if normalized.trivial_all:
         raise ValueError("take-everything instances never reach the reducer")
     codec, adjusted = break_ties(normalized)
-    prefix = maximal_prefix(adjusted, normalized.t, codec)
+    prefix = maximal_prefix(normalized, adjusted)
     w_max = normalized.w_max
     n = normalized.n
     b1 = min(n, 2 * w_max)
@@ -403,6 +435,15 @@ class BaseSolutions:
         }
 
 
+def base_window(prox: ProximityInstance) -> tuple[int, int]:
+    """Residual weights [lo, hi] that ``prepare_base_solutions`` tabulates:
+    [-b0*w_max, b0*w_max] intersected with the attainable range."""
+    width = prox.b0 * prox.w_max
+    lo = max(-width, sum(k for k in prox.profiles if k < 0))
+    hi = min(width, sum(k for k in prox.profiles if k > 0))
+    return lo, hi
+
+
 def prepare_base_solutions(
     prox: ProximityInstance, *, counters: Counters | None = None
 ) -> BaseSolutions:
@@ -417,9 +458,7 @@ def prepare_base_solutions(
     seed optimal solutions.
     """
     keys = prox.keys_positive + prox.keys_negative
-    width = prox.b0 * prox.w_max
-    lo = max(-width, sum(k for k in keys if k < 0))
-    hi = min(width, sum(k for k in keys if k > 0))
+    lo, hi = base_window(prox)
     if lo > 0 or hi < 0:
         raise AssertionError("base window must contain weight 0")
     size = hi - lo + 1

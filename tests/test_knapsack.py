@@ -260,24 +260,45 @@ def test_auto_takes_the_window_where_bellman_does_not_fit(monkeypatch):
     assert value == solve_01_knapsack(big, algo="proximity")[0]
 
 
-def test_forced_window_over_budget_raises_before_allocating():
+def test_routes_over_budget_raise_before_allocating():
     rng = random.Random(5)
     items = [(rng.randint(1 << 19, 1 << 20), rng.randint(0, 1 << 32)) for _ in range(128)]
     heavy = inst_of(items, sum(w for w, _ in items) // 2)
     norm = normalize_knapsack(heavy)
     assert plan_window(norm).nbytes > MEMORY_BUDGET
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError):
-            solve_01_knapsack(heavy, algo="window")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    # auto neither raises nor runs out of memory choosing: the window and
-    # bellman are both over budget, so only the pipeline is left.
     assert not knapsack._bellman_fits(heavy.n, heavy.t)
+    assert knapsack._pipeline_nbytes(build_proximity_instance(norm)) > MEMORY_BUDGET
+    # Every route is over budget, so auto raises too, as does each forced route.
+    for algo in ("window", "bellman", "proximity", "auto"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                solve_01_knapsack(heavy, algo=algo)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, algo
+
+
+def test_auto_falls_back_by_budget_when_the_window_does_not_fit(monkeypatch):
+    rng = random.Random(9)
+    items = [(rng.randint(254, 256), rng.randint(0, 1024)) for _ in range(256)]
+    inst = inst_of(items, sum(w for w, _ in items) // 2)
+    norm = normalize_knapsack(inst)
+    window = plan_window(norm).nbytes
+    bellman = knapsack._bellman_nbytes(inst.n, inst.t)
+    pipeline = knapsack._pipeline_nbytes(build_proximity_instance(norm))
+    assert pipeline < window < bellman and not prefer_proximity(norm)
+    # prefer_proximity picks bellman, which does not fit: the pipeline runs.
+    monkeypatch.setattr(knapsack, "MEMORY_BUDGET", pipeline)
     assert choose_route(norm)[0] == "proximity"
+    route, value = solve_recording_route(inst, monkeypatch)
+    assert route == "proximity"
+    assert value == bellman_solve(inst)[0]
+    # Nothing fits: auto raises instead of running a route out of memory.
+    monkeypatch.setattr(knapsack, "MEMORY_BUDGET", pipeline - 1)
+    with pytest.raises(ResourceLimitError):
+        choose_route(norm)
 
 
 def test_counters_populated_by_the_pipeline():

@@ -55,7 +55,7 @@ def test_break_ties_distinct_profits_and_efficiencies():
 def test_maximal_prefix_stops_at_first_overflow():
     norm = normalized([(5, 10), (6, 6), (1, 1)], 6)
     codec, adjusted = break_ties(norm)
-    prefix = maximal_prefix(adjusted, norm.t, codec)
+    prefix = maximal_prefix(norm, adjusted)
     # efficiency order: item 1 (2.0), then item 3 (1.0 with the larger tie
     # per unit weight), then item 2; the prefix stops when item 2 overflows
     assert prefix.order == (1, 3, 2)
@@ -68,7 +68,7 @@ def test_maximal_prefix_is_a_prefix_not_a_greedy_subset():
     # item 2 overflows but item 3 would still fit; a prefix must not skip
     norm = normalized([(4, 100), (5, 10), (1, 1)], 5)
     codec, adjusted = break_ties(norm)
-    prefix = maximal_prefix(adjusted, norm.t, codec)
+    prefix = maximal_prefix(norm, adjusted)
     assert prefix.order == (1, 2, 3)
     assert prefix.prefix_ids == (1,)
     assert prefix.t_star == 1
@@ -79,7 +79,7 @@ def test_prefix_weight_and_packed_are_consistent():
     for _ in range(100):
         norm = normalize_knapsack(rand_knapsack(rng, n_max=16, w_max=10))
         codec, adjusted = break_ties(norm)
-        prefix = maximal_prefix(adjusted, norm.t, codec)
+        prefix = maximal_prefix(norm, adjusted)
         by_id = {it.index: it for it in adjusted}
         assert prefix.prefix_weight == sum(by_id[i].weight for i in prefix.prefix_ids)
         assert prefix.prefix_packed == sum(by_id[i].packed for i in prefix.prefix_ids)
@@ -141,7 +141,7 @@ def test_efficiency_order_matches_the_fraction_order_on_tie_heavy_instances():
             codec, adjusted = break_ties(norm)
             by_fraction = sorted(adjusted, key=lambda it: Fraction(it.packed, it.weight),
                                  reverse=True)
-            assert maximal_prefix(adjusted, norm.t, codec).order == tuple(
+            assert maximal_prefix(norm, adjusted).order == tuple(
                 it.index for it in by_fraction
             )
         # Arbitrary ties up to 2^43: the order is (p/w, tie/w) descending.
