@@ -131,7 +131,7 @@ def _timed_knapsack(
 
 
 def _timed_subsetsum(
-    instance: SubsetSumInstance, algo: str, proximity_c: int, seed: int
+    instance: SubsetSumInstance, algo: str, proximity_c: int
 ) -> RunReport:
     counters = Counters()
     start = time.perf_counter()
@@ -139,7 +139,7 @@ def _timed_subsetsum(
         value = max(bitset_subset_sums(instance.weights, instance.t), default=0)
     else:
         value = solve_subset_sum(
-            instance, proximity_c=proximity_c, seed=seed, counters=counters
+            instance, proximity_c=proximity_c, counters=counters
         ).value
     millis = (time.perf_counter() - start) * 1000.0
     return RunReport(algo, value, None, millis, counters.entry_evals, counters.conv_output_len)
@@ -162,9 +162,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             )
         if args.witness:
             raise InstanceFormatError("--witness is not supported for subsetsum algorithms")
-        report = _timed_subsetsum(instance, algo, args.proximity_c, args.seed)
+        report = _timed_subsetsum(instance, algo, args.proximity_c)
         if args.paranoid:
-            redo = _timed_subsetsum(instance, algo, 2 * args.proximity_c, args.seed)
+            redo = _timed_subsetsum(instance, algo, 2 * args.proximity_c)
             if redo.value != report.value:
                 print(
                     f"paranoid re-check disagrees: {report.value} vs {redo.value}",
@@ -195,13 +195,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # verification
 
 
-def _verify_value(
-    instance: KnapsackInstance | SubsetSumInstance, algo: str, seed: int
-) -> int:
+def _verify_value(instance: KnapsackInstance | SubsetSumInstance, algo: str) -> int:
     if algo in SUBSETSUM_ALGOS:
         if not isinstance(instance, SubsetSumInstance):
             raise InstanceFormatError("subsetsum algorithm on a knapsack instance")
-        return _timed_subsetsum(instance, algo, 4, seed).value
+        return _timed_subsetsum(instance, algo, 4).value
     if not isinstance(instance, KnapsackInstance):
         raise InstanceFormatError("knapsack algorithm on a subsetsum instance")
     return solve_01_knapsack(instance, algo=algo)[0]
@@ -236,7 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for trial in range(args.trials):
         rng = random.Random(args.seed * 1_000_003 + trial)
         instance = _verify_instance(rng, subsetsum_side[0], args.n, args.wmax, trial)
-        got = [_verify_value(instance, a, args.seed) for a in algos]
+        got = [_verify_value(instance, a) for a in algos]
         if got[0] != got[1]:
             with open(FAIL_ARTIFACT, "w", encoding="utf-8") as handle:
                 handle.write(serialize_instance(instance))
@@ -302,7 +300,7 @@ def _bench_report(
         millis = (time.perf_counter() - start) * 1000.0
         return RunReport(algo, value, None, millis, 0, 0)
     if algo in SUBSETSUM_ALGOS:
-        return _timed_subsetsum(instance, algo, 4, 0)
+        return _timed_subsetsum(instance, algo, 4)
     return _timed_knapsack(instance, algo, 4)
 
 
@@ -373,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-solve with a doubled proximity constant and compare",
     )
-    solve.add_argument("--seed", type=int, default=0)
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="cross-check two algorithms on random instances")

@@ -8,7 +8,9 @@ Grammar (one record per line, ``\\n`` line endings)::
 All numbers are unsigned decimals with no leading zeros (except ``0``
 itself).  Lines whose first non-blank character is ``#`` are comments:
 accepted anywhere on input, never produced on output.  Input limits are
-enforced here, so a successfully parsed instance is always within bounds.
+checked when the instance is built (``KnapsackInstance`` and
+``SubsetSumInstance`` validate themselves), so a successfully parsed instance
+is always within bounds.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .model import (
     Item,
     KnapsackInstance,
     SubsetSumInstance,
-    validate_knapsack,
-    validate_subsetsum,
 )
 
 _NUMBER = re.compile(r"^(0|[1-9][0-9]*)$")
@@ -79,7 +79,7 @@ def parse_instance(text: str) -> KnapsackInstance | SubsetSumInstance:
             w = _parse_number(parts[0], "weight", lineno)
             p = _parse_number(parts[1], "profit", lineno)
             items.append(Item(w, p))
-        return validate_knapsack(KnapsackInstance(tuple(items), t))
+        return KnapsackInstance(tuple(items), t)
     weights = []
     for lineno, raw in body:
         if " " in raw or raw == "":
@@ -87,17 +87,15 @@ def parse_instance(text: str) -> KnapsackInstance | SubsetSumInstance:
                 f"line {lineno}: expected a single weight, got {raw!r}"
             )
         weights.append(_parse_number(raw, "weight", lineno))
-    return validate_subsetsum(SubsetSumInstance(tuple(weights), t))
+    return SubsetSumInstance(tuple(weights), t)
 
 
 def serialize_instance(instance: KnapsackInstance | SubsetSumInstance) -> str:
     """Render an instance in the file grammar (no comments, trailing newline)."""
     if isinstance(instance, KnapsackInstance):
-        validate_knapsack(instance)
         out = [f"knapsack {instance.n} {instance.t}"]
         out.extend(f"{w} {p}" for w, p in instance.items)
     else:
-        validate_subsetsum(instance)
         out = [f"subsetsum {instance.n} {instance.t}"]
         out.extend(str(w) for w in instance.weights)
     return "\n".join(out) + "\n"

@@ -2,16 +2,15 @@
 
 An :class:`IntegerSet` stores a finite set of (possibly negative) integers as
 a big-integer bitmask plus an offset, so membership, shifting, union and
-clamping cost machine-word operations per 64 values.  Sumsets of two sets are
-computed either by bitmask shift-or (sparse/small inputs) or by an exact
-number-theoretic transform over the prime 2**64 - 2**32 + 1 (large dense
-inputs).  No floating-point transforms are used anywhere, so results are
-exact at every size.
+clamping cost machine-word operations per 64 values.  ``sumset`` picks, by
+span and popcount, between bitmask shift-or (sparse/small inputs) and an
+exact number-theoretic transform over the prime 2**64 - 2**32 + 1 (large
+dense inputs).  No floating-point transforms are used anywhere, so results
+are exact at every size.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -23,13 +22,12 @@ __all__ = [
     "sumset",
     "difference_set",
     "all_subset_sums",
-    "all_subset_sums_random",
     "ntt_convolve_01",
 ]
 
-# Sumsets whose output span (in bit positions) is at most this prefer the
-# shift-or backend outright; beyond it the estimated word-operation counts of
-# the two backends are compared.
+# Sumsets whose output span (in bit positions) is at most this use shift-or
+# outright; beyond it the estimated word-operation counts of shift-or and the
+# NTT are compared.
 _SMALL_SPAN = 1 << 12
 _SHIFT_OR_BUDGET = 1 << 24
 
@@ -398,30 +396,24 @@ def sumset(
     lo: int | None = None,
     hi: int | None = None,
     counters: Counters | None = None,
-    backend: str = "auto",
 ) -> IntegerSet:
     """{x + y : x in a, y in b}, optionally clamped to [lo, hi].
 
-    ``backend`` is one of "auto", "bitset", "ntt"; "auto" picks by estimated
-    cost.  The clamp is applied after the full sumset is formed (results are
-    identical either way; the caps the solvers pass keep spans bounded).
+    Shift-or runs when the output span is small or the sparser operand's
+    popcount times the denser one's word count fits ``_SHIFT_OR_BUDGET``;
+    otherwise the NTT does.  Both are exact.  The clamp is applied after the
+    full sumset is formed (results are identical either way; the caps the
+    solvers pass keep spans bounded).
     """
     if not a.mask or not b.mask:
         return IntegerSet.empty()
     out_span = a.span() + b.span() - 1
-    if backend == "auto":
-        pop = min(a.mask.bit_count(), b.mask.bit_count())
-        words = (max(a.span(), b.span()) + 63) // 64
-        if out_span <= _SMALL_SPAN or pop * words <= _SHIFT_OR_BUDGET:
-            backend = "bitset"
-        else:
-            backend = "ntt"
-    if backend == "bitset":
+    pop = min(a.mask.bit_count(), b.mask.bit_count())
+    words = (max(a.span(), b.span()) + 63) // 64
+    if out_span <= _SMALL_SPAN or pop * words <= _SHIFT_OR_BUDGET:
         mask = _sumset_shift_or(a, b)
-    elif backend == "ntt":
-        mask = _sumset_ntt(a, b)
     else:
-        raise ValueError(f"unknown sumset backend: {backend!r}")
+        mask = _sumset_ntt(a, b)
     if counters is not None:
         counters.conv_output_len += out_span
     return IntegerSet(a.offset + b.offset, mask).clamped(lo, hi)
@@ -434,10 +426,9 @@ def difference_set(
     lo: int | None = None,
     hi: int | None = None,
     counters: Counters | None = None,
-    backend: str = "auto",
 ) -> IntegerSet:
     """{x - y : x in a, y in b}, optionally clamped to [lo, hi]."""
-    return sumset(a, b.reflected(), lo=lo, hi=hi, counters=counters, backend=backend)
+    return sumset(a, b.reflected(), lo=lo, hi=hi, counters=counters)
 
 
 def all_subset_sums(
@@ -446,7 +437,6 @@ def all_subset_sums(
     lo: int | None = None,
     hi: int | None = None,
     counters: Counters | None = None,
-    backend: str = "auto",
 ) -> IntegerSet:
     """All sums of sub-multisets of ``values`` (0 included), clamped to [lo, hi].
 
@@ -464,66 +454,9 @@ def all_subset_sums(
         nxt: list[IntegerSet] = []
         for i in range(0, len(level) - 1, 2):
             nxt.append(
-                sumset(
-                    level[i],
-                    level[i + 1],
-                    lo=lo,
-                    hi=hi,
-                    counters=counters,
-                    backend=backend,
-                )
+                sumset(level[i], level[i + 1], lo=lo, hi=hi, counters=counters)
             )
         if len(level) % 2:
             nxt.append(level[-1].clamped(lo, hi))
         level = nxt
     return level[0].clamped(lo, hi)
-
-
-def all_subset_sums_random(
-    values: Sequence[int],
-    *,
-    lo: int | None = None,
-    hi: int | None = None,
-    seed: int = 0,
-    rounds: int = 8,
-    sample_cap: int = 4096,
-    counters: Counters | None = None,
-) -> IntegerSet:
-    """Randomized one-sided approximation of :func:`all_subset_sums`.
-
-    Every returned value is a genuine subset sum (soundness is unconditional);
-    coverage of all sums is only probabilistic, improving with ``rounds``.
-    Each round shuffles the values and runs the product tree while randomly
-    thinning intermediate sets to at most ``sample_cap`` elements, always
-    keeping 0 and the endpoints so the recursion stays productive.
-    """
-    rng = random.Random(seed)
-    result = IntegerSet.singleton(0).clamped(lo, hi)
-    vals = list(values)
-    for _ in range(rounds):
-        rng.shuffle(vals)
-        level = [IntegerSet.from_iterable([0, v]) for v in vals]
-        if not level:
-            level = [IntegerSet.singleton(0)]
-        while len(level) > 1:
-            nxt = []
-            for i in range(0, len(level) - 1, 2):
-                combined = sumset(
-                    level[i], level[i + 1], lo=lo, hi=hi, counters=counters
-                )
-                nxt.append(_thin(combined, sample_cap, rng))
-            if len(level) % 2:
-                nxt.append(level[-1].clamped(lo, hi))
-            level = nxt
-        result = result.union(level[0].clamped(lo, hi))
-    return result
-
-
-def _thin(s: IntegerSet, cap: int, rng: random.Random) -> IntegerSet:
-    size = len(s)
-    if size <= cap:
-        return s
-    vals = s.values()
-    keep = {vals[0], vals[-1], 0} & set(vals)
-    keep.update(rng.sample(vals, cap))
-    return IntegerSet.from_iterable(v for v in keep if v in s)

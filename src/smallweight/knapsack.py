@@ -85,7 +85,6 @@ from .model import (
 )
 from .oracles import DEFAULT_CELL_BUDGET, bellman_solve, brute_force_knapsack
 from .profiles import (
-    BaseSolutions,
     ProximityInstance,
     base_window,
     build_proximity_instance,
@@ -455,7 +454,7 @@ def solve_proximity(
     p1 = (w2_lo + sol2.z[best_pos]) - w1_lo
     counts_pos = sol1.vector(p1)
     base_index = w1_lo + sol1.z[p1]
-    counts: dict[int, int] = {k: 1 for k in base.support(base_index)}
+    counts: dict[int, int] = {k: 1 for k in supports[base_index]}
     for k, c in counts_pos.items():
         counts[k] = counts.get(k, 0) + c
     for k, c in counts_neg.items():

@@ -65,10 +65,16 @@ class Item(NamedTuple):
 
 @dataclass(frozen=True)
 class KnapsackInstance:
-    """A 0-1 knapsack instance: maximize total profit with total weight <= t."""
+    """A 0-1 knapsack instance: maximize total profit with total weight <= t.
+
+    Construction checks the input limits (``validate_knapsack``).
+    """
 
     items: tuple[Item, ...]
     t: int
+
+    def __post_init__(self) -> None:
+        validate_knapsack(self)
 
     @property
     def n(self) -> int:
@@ -81,10 +87,16 @@ class KnapsackInstance:
 
 @dataclass(frozen=True)
 class SubsetSumInstance:
-    """A subset-sum instance: find / approach target t with a subset of weights."""
+    """A subset-sum instance: find / approach target t with a subset of weights.
+
+    Construction checks the input limits (``validate_subsetsum``).
+    """
 
     weights: tuple[int, ...]
     t: int
+
+    def __post_init__(self) -> None:
+        validate_subsetsum(self)
 
     @property
     def n(self) -> int:
@@ -173,7 +185,6 @@ class NormalizedKnapsack:
 
 
 def normalize_knapsack(instance: KnapsackInstance) -> NormalizedKnapsack:
-    validate_knapsack(instance)
     kept: list[NormalizedItem] = []
     dropped: list[int] = []
     for idx, (w, p) in enumerate(instance.items, start=1):
@@ -208,7 +219,6 @@ class NormalizedSubsetSum:
 
 
 def normalize_subsetsum(instance: SubsetSumInstance) -> NormalizedSubsetSum:
-    validate_subsetsum(instance)
     kept: list[tuple[int, int]] = []
     dropped: list[int] = []
     for idx, w in enumerate(instance.weights, start=1):

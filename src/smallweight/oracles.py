@@ -9,7 +9,7 @@ against, so none of them share code with the fast paths.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Iterable
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .model import (
     KnapsackInstance,
     ResourceLimitError,
 )
+from .smawk import MatrixView
 
 BRUTE_FORCE_MAX_ITEMS = 24
 DEFAULT_CELL_BUDGET = 1 << 31
@@ -121,15 +122,6 @@ def bitset_subset_sums(weights: Iterable[int], t: int) -> set[int]:
         out.add(low.bit_length() - 1)
         s ^= low
     return out
-
-
-class MatrixView(Protocol):
-    """Read-only matrix with 1-based indices and optional undefined entries."""
-
-    n_rows: int
-    n_cols: int
-
-    def entry(self, i: int, j: int) -> int | None: ...
 
 
 def naive_row_maxima(view: MatrixView) -> list[int]:

@@ -326,13 +326,15 @@ def build_proximity_instance(
 
 
 class BaseSolutions:
-    """Best single-copy solutions per residual weight, with support walks.
+    """Best single-copy solutions per residual weight, with their supports.
 
     ``value(i)`` is the packed profit of the stored 0/1 solution of weight i
     (None outside the table or where the support-size cap erased the entry);
-    ``support(i)`` recovers its signed weight keys by walking the per-round
-    update masks backward: the last round that fired at i contributed its
-    weight, and the walk continues from the source cell in earlier rounds.
+    ``supports_all()`` recovers the signed weight keys of every live entry by
+    walking the per-round update masks backward: the last round that fired at
+    i contributed its weight, and the walk continues from the source cell in
+    earlier rounds.  ``int64_mode`` tells whether the values are int64 or
+    exact Python ints (object dtype).
     """
 
     def __init__(
@@ -371,33 +373,6 @@ class BaseSolutions:
             return None
         return int(self._values[a])
 
-    def count(self, i: int) -> int | None:
-        if not self.in_window(i):
-            return None
-        a = i - self.lo
-        if not self._alive(a):
-            return None
-        return int(self._counts[a])
-
-    def _fired_at(self, r: int, a: int) -> bool:
-        row = self._fired[r]
-        return bool((row[a >> 3] >> (a & 7)) & 1)
-
-    def support(self, i: int) -> tuple[int, ...]:
-        """Signed weight keys of the stored solution at weight i."""
-        if self.value(i) is None:
-            raise ContractError(f"no base solution at weight {i}")
-        keys: list[int] = []
-        a = i - self.lo
-        for r in range(len(self.round_keys) - 1, -1, -1):
-            if self._fired_at(r, a):
-                w = self.round_keys[r]
-                keys.append(w)
-                a -= w
-        if a != 0 - self.lo:
-            raise ContractError("support walk did not terminate at weight 0")
-        return tuple(sorted(keys))
-
     def indices(self) -> list[int]:
         """All weights with a live (non-erased) base solution."""
         return [
@@ -409,9 +384,8 @@ class BaseSolutions:
     def supports_all(self) -> dict[int, tuple[int, ...]]:
         """Supports of every live entry, by one vectorized backward walk.
 
-        Equivalent to calling ``support`` per live index, but all walks step
-        through each round together, so the cost is rounds x live entries of
-        numpy work instead of Python-level bit tests.
+        All walks step through each round together, so the cost is rounds x
+        live entries of numpy work instead of Python-level bit tests.
         """
         live = self.indices()
         if not live:
@@ -456,6 +430,10 @@ def prepare_base_solutions(
     used at most once; updates replace only on strictly greater packed profit.
     Entries whose support exceeds b0 are erased at the end, as only those can
     seed optimal solutions.
+
+    Values are int64 when the summed first steps stay below ``_INT64_SAFE``,
+    and exact Python ints in an object array otherwise; both run the same
+    vectorized update per round.
     """
     keys = prox.keys_positive + prox.keys_negative
     lo, hi = base_window(prox)
@@ -467,67 +445,28 @@ def prepare_base_solutions(
     bound = sum(abs(v) for v in first_steps.values())
     int64_mode = bound < _INT64_SAFE
 
-    if int64_mode:
-        values = np.zeros(size, dtype=np.int64)
-        defined = np.zeros(size, dtype=bool)
-        counts = np.zeros(size, dtype=np.int32)
-        defined[0 - lo] = True
-        fired: list[bytes] = []
-        for w in keys:
-            pw = first_steps[w]
-            if w > 0:
-                s_lo, s_hi = lo, hi - w  # source range so target stays inside
-            else:
-                s_lo, s_hi = lo - w, hi
-            row = np.zeros(size, dtype=bool)
-            if s_lo <= s_hi:
-                src = slice(s_lo - lo, s_hi - lo + 1)
-                tgt = slice(s_lo + w - lo, s_hi + w - lo + 1)
-                cand = values[src] + pw
-                improve = defined[src] & (~defined[tgt] | (cand > values[tgt]))
-                row[tgt] = improve
-                values[tgt] = np.where(improve, cand, values[tgt])
-                counts[tgt] = np.where(improve, counts[src] + 1, counts[tgt])
-                defined[tgt] |= improve
-            fired.append(np.packbits(row, bitorder="little").tobytes())
-            if counters is not None:
-                counters.entry_evals += max(0, s_hi - s_lo + 1)
-    else:
-        vals_py: list[int | None] = [None] * size
-        cnts_py = [0] * size
-        vals_py[0 - lo] = 0
-        fired = []
-        for w in keys:
-            pw = first_steps[w]
-            row = np.zeros(size, dtype=bool)
-            new_vals = list(vals_py)
-            new_cnts = list(cnts_py)
-            for a in range(size):
-                b = a - w
-                if 0 <= b < size and vals_py[b] is not None:
-                    cand = vals_py[b] + pw
-                    if vals_py[a] is None or cand > vals_py[a]:
-                        new_vals[a] = cand
-                        new_cnts[a] = cnts_py[b] + 1
-                        row[a] = True
-            vals_py, cnts_py = new_vals, new_cnts
-            fired.append(np.packbits(row, bitorder="little").tobytes())
-            if counters is not None:
-                counters.entry_evals += size
-        values = vals_py
-        defined = [v is not None for v in vals_py]
-        counts = cnts_py
-
-    if int64_mode:
-        return BaseSolutions(lo, hi, keys, values, defined, counts, fired, prox.b0, True)
-    return BaseSolutions(
-        lo,
-        hi,
-        keys,
-        [0 if v is None else v for v in values],
-        defined,
-        counts,
-        fired,
-        prox.b0,
-        False,
-    )
+    values = np.zeros(size, dtype=np.int64 if int64_mode else object)
+    defined = np.zeros(size, dtype=bool)
+    counts = np.zeros(size, dtype=np.int32)
+    defined[0 - lo] = True
+    fired: list[bytes] = []
+    for w in keys:
+        pw = first_steps[w]
+        if w > 0:
+            s_lo, s_hi = lo, hi - w  # source range so target stays inside
+        else:
+            s_lo, s_hi = lo - w, hi
+        row = np.zeros(size, dtype=bool)
+        if s_lo <= s_hi:
+            src = slice(s_lo - lo, s_hi - lo + 1)
+            tgt = slice(s_lo + w - lo, s_hi + w - lo + 1)
+            cand = values[src] + pw
+            improve = defined[src] & (~defined[tgt] | (cand > values[tgt]))
+            row[tgt] = improve
+            values[tgt] = np.where(improve, cand, values[tgt])
+            counts[tgt] = np.where(improve, counts[src] + 1, counts[tgt])
+            defined[tgt] |= improve
+        fired.append(np.packbits(row, bitorder="little").tobytes())
+        if counters is not None:
+            counters.entry_evals += max(0, s_hi - s_lo + 1)
+    return BaseSolutions(lo, hi, keys, values, defined, counts, fired, prox.b0, int64_mode)

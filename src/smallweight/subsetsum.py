@@ -20,14 +20,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .intset import IntegerSet, all_subset_sums, all_subset_sums_random, difference_set, sumset
+from .intset import IntegerSet, all_subset_sums, difference_set, sumset
 from .model import (
     Counters,
     NormalizedSubsetSum,
     ResourceLimitError,
     SubsetSumInstance,
     normalize_subsetsum,
-    validate_subsetsum,
 )
 
 __all__ = [
@@ -160,8 +159,6 @@ def fold_bundled_layers(
     *,
     counters: Counters | None = None,
     trace: Callable[[int, IntegerSet], None] | None = None,
-    randomized: bool = False,
-    seed: int = 0,
 ) -> IntegerSet:
     """Attainable residual sums within the proximity window.
 
@@ -190,13 +187,6 @@ def fold_bundled_layers(
             f"proximity window span {2 * cap_s + 1} exceeds the supported limit"
         )
 
-    def partial_sums(values: list[int]) -> IntegerSet:
-        if randomized:
-            return all_subset_sums_random(
-                values, lo=0, hi=cap_t, seed=seed, counters=counters
-            )
-        return all_subset_sums(values, lo=0, hi=cap_t, counters=counters)
-
     s = IntegerSet.singleton(0)
     for beta in range(bundled.ell, -1, -1):
         s = s.stretched_double().clamped(-cap_s, cap_s)
@@ -204,8 +194,8 @@ def fold_bundled_layers(
         if layer:
             pos = [v for v in layer if v > 0]
             neg = [-v for v in layer if v < 0]
-            t_plus = partial_sums(pos)
-            t_minus = partial_sums(neg)
+            t_plus = all_subset_sums(pos, lo=0, hi=cap_t, counters=counters)
+            t_minus = all_subset_sums(neg, lo=0, hi=cap_t, counters=counters)
             t_layer = difference_set(t_plus, t_minus, counters=counters)
             s = sumset(s, t_layer, lo=-cap_s, hi=cap_s, counters=counters)
         if trace is not None:
@@ -217,8 +207,6 @@ def solve_subset_sum(
     instance: SubsetSumInstance,
     *,
     proximity_c: int = 4,
-    randomized: bool = False,
-    seed: int = 0,
     counters: Counters | None = None,
     trace: Callable[[int, IntegerSet], None] | None = None,
 ) -> SubsetSumAnswer:
@@ -228,12 +216,8 @@ def solve_subset_sum(
     everything remaining fits, that is the optimum.  Otherwise the residual
     problem is solved through the layered convolution and the answer is read
     off the final set: its maximum element not exceeding the residual
-    capacity, offset by the prefix weight.  With ``randomized=True`` the
-    per-layer convolutions subsample, keeping soundness (reported values are
-    attainable, a "yes" decision is genuine) but making completeness
-    probabilistic only.
+    capacity, offset by the prefix weight.
     """
-    validate_subsetsum(instance)
     normalized = normalize_subsetsum(instance)
     total = normalized.total_weight
     if total <= instance.t:
@@ -246,8 +230,6 @@ def solve_subset_sum(
         proximity_c,
         counters=counters,
         trace=trace,
-        randomized=randomized,
-        seed=seed,
     )
     reachable = s0.clamped(None, residual.target)
     if not reachable:

@@ -60,7 +60,6 @@ __all__ = [
     "restrict_instance",
     "update_instance",
     "compose_solutions",
-    "max_instances",
     "max_solutions",
     "small_b_extend",
     "large_b_extend",
@@ -632,53 +631,6 @@ def max_solutions(
         r=r,
         z=z,
         delta=delta,
-    )
-
-
-def max_instances(
-    a: WeakExtendInstance, b: WeakExtendInstance
-) -> WeakExtendInstance:
-    """Entry-wise better of two instances; profit ties intersect the sets."""
-    if a.universe != b.universe:
-        raise ContractError("entry-wise maximum needs identical universes")
-    if a.length != b.length or a.offset != b.offset:
-        raise ContractError("instance windows do not match")
-    rows: dict[tuple[int, ...], int] = {}
-    handles: list[int | None] = []
-    q: list[int | None] = []
-
-    def register(row: tuple[int, ...]) -> int | None:
-        if not row:
-            return None
-        got = rows.get(row)
-        if got is None:
-            got = len(rows)
-            rows[row] = got
-        return got
-
-    for p in range(a.length):
-        av, bv = a.q[p], b.q[p]
-        if av is None and bv is None:
-            q.append(None)
-            handles.append(None)
-        elif bv is None or (av is not None and av > bv):
-            q.append(av)
-            handles.append(register(a.set_of(p)))
-        elif av is None or bv > av:
-            q.append(bv)
-            handles.append(register(b.set_of(p)))
-        else:  # tie: keep the profit, keep only keys both sides allow
-            q.append(av)
-            merged = tuple(sorted(set(a.set_of(p)) & set(b.set_of(p))))
-            handles.append(register(merged))
-    table = tuple(sorted(rows, key=rows.get))
-    return WeakExtendInstance(
-        offset=a.offset,
-        q=tuple(q),
-        handles=tuple(handles),
-        table=table,
-        universe=a.universe,
-        gains=a.gains,
     )
 
 

@@ -285,8 +285,6 @@ def check_base_against_reference(prox: ProximityInstance):
     for i in live:
         val, supp = ref[i]
         assert base.value(i) == val
-        assert base.count(i) == len(supp)
-        assert base.support(i) == supp
         assert supports[i] == supp
         assert sum(supp) == i
         assert base.in_window(i)
@@ -314,9 +312,8 @@ def test_base_solutions_tiny_tables():
         prefix_ids=(), prefix_packed=0, n=1,
     )
     base = prepare_base_solutions(one)
-    assert sorted(base.indices()) == [0, 2]
-    assert base.value(0) == 0 and base.support(0) == ()
-    assert base.value(2) == 7 and base.support(2) == (2,)
+    assert base.supports_all() == {0: (), 2: (2,)}
+    assert base.value(0) == 0 and base.value(2) == 7
     assert base.value(1) is None
 
     empty = ProximityInstance(
@@ -324,8 +321,8 @@ def test_base_solutions_tiny_tables():
         prefix_ids=(), prefix_packed=0, n=0,
     )
     base = prepare_base_solutions(empty)
-    assert sorted(base.indices()) == [0]
-    assert base.value(0) == 0 and base.support(0) == ()
+    assert base.supports_all() == {0: ()}
+    assert base.value(0) == 0
 
     two = ProximityInstance(
         profiles={
@@ -336,11 +333,9 @@ def test_base_solutions_tiny_tables():
         prefix_ids=(2,), prefix_packed=0, n=2,
     )
     base = prepare_base_solutions(two)
-    assert sorted(base.indices()) == [-3, -1, 0, 2]
-    assert base.value(-3) == -4 and base.support(-3) == (-3,)
-    assert base.value(-1) == 3 and base.support(-1) == (-3, 2)
-    assert base.value(0) == 0 and base.support(0) == ()
-    assert base.value(2) == 7 and base.support(2) == (2,)
+    assert base.supports_all() == {-3: (-3,), -1: (-3, 2), 0: (), 2: (2,)}
+    assert base.value(-3) == -4 and base.value(-1) == 3
+    assert base.value(0) == 0 and base.value(2) == 7
 
 
 def synthetic_prox(step_scale: int) -> ProximityInstance:
@@ -373,7 +368,7 @@ def test_base_solutions_python_fallback_matches_reference():
     check_base_against_reference(huge)
     for i in base_small.indices():
         assert base_huge.value(i) == (1 << 62) * base_small.value(i)
-        assert base_huge.support(i) == base_small.support(i)
+    assert base_huge.supports_all() == base_small.supports_all()
 
 
 def test_base_solutions_erase_oversized_supports():
@@ -390,9 +385,9 @@ def test_base_solutions_erase_oversized_supports():
     base = prepare_base_solutions(prox)
     assert base.value(6) is None
     assert base.value(5) == 7  # keys 2+3
-    assert base.support(5) == (2, 3)
-    with pytest.raises(ContractError):
-        base.support(6)
+    supports = base.supports_all()
+    assert supports[5] == (2, 3)
+    assert 6 not in supports
 
 
 def test_base_solutions_counter():

@@ -26,7 +26,6 @@ from smallweight.weakextend import (
     compose_solutions,
     isolating_colorings,
     large_b_extend,
-    max_instances,
     max_solutions,
     recompute_objective,
     restrict_instance,
@@ -336,19 +335,6 @@ def test_staged_folding_matches_reference_on_singleton_rows():
             combined = compose_solutions(combined, part)
         opt, required = reference_arrays(inst)
         check_solution(inst, combined, opt, required)
-
-
-def test_max_instances_keeps_the_better_profit_and_intersects_ties():
-    gains = {1: TabulatedGain([4]), 2: TabulatedGain([3])}
-    a = make_instance([5, None, 7], [(1,), (), (1, 2)], gains)
-    b = make_instance([3, 6, 7], [(2,), (2,), (2,)], gains)
-    best = max_instances(a, b)
-    assert best.q == (5, 6, 7)
-    assert best.set_of(0) == (1,)   # a wins
-    assert best.set_of(1) == (2,)   # b wins (a undefined)
-    assert best.set_of(2) == (2,)   # tie: intersection
-    with pytest.raises(ContractError):
-        max_instances(a, make_instance([0], [()], gains))
 
 
 def test_update_instance_moves_handles_with_the_source():
