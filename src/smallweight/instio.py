@@ -37,11 +37,13 @@ def _parse_number(token: str, what: str, lineno: int) -> int:
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
     lines: list[tuple[int, str]] = []
+    # Line number of the text after the final newline; the grammar ends every
+    # line with NL, so an empty tail there is not a line.
+    tail = text.count("\n") + 1
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if raw.strip().startswith("#"):
             continue
-        if raw == "" and lineno == text.count("\n") + 1:
-            # Text after the final newline; the grammar ends every line with NL.
+        if raw == "" and lineno == tail:
             continue
         lines.append((lineno, raw))
     return lines

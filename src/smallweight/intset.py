@@ -3,10 +3,11 @@
 An :class:`IntegerSet` stores a finite set of (possibly negative) integers as
 a big-integer bitmask plus an offset, so membership, shifting, union and
 clamping cost machine-word operations per 64 values.  ``sumset`` picks, by
-span and popcount, between bitmask shift-or (sparse/small inputs) and an
-exact number-theoretic transform over the prime 2**64 - 2**32 + 1 (large
-dense inputs).  No floating-point transforms are used anywhere, so results
-are exact at every size.
+span and popcount, between bitmask shift-or (sparse/small inputs) and a
+float64 real FFT (large dense inputs).  The FFT convolves 0/1 vectors, whose
+true counts are integers; its worst-case rounding error is proven below 1/2
+at every length it accepts (see ``ntt_convolve_01``), so thresholding at 1/2
+recovers the exact sumset and results are exact at every size.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ __all__ = [
 ]
 
 # Sumsets whose output span (in bit positions) is at most this use shift-or
-# outright; beyond it the estimated word-operation counts of shift-or and the
-# NTT are compared.
+# outright; beyond it the estimated word-operation count of shift-or decides
+# between it and the FFT.
 _SMALL_SPAN = 1 << 12
 _SHIFT_OR_BUDGET = 1 << 24
 
@@ -223,140 +224,39 @@ def _bits_to_mask(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-# -- exact NTT over p = 2**64 - 2**32 + 1 ------------------------------------
+# -- boolean convolution by float64 FFT --------------------------------------
 
-_P = np.uint64((1 << 64) - (1 << 32) + 1)
-_P_INT = (1 << 64) - (1 << 32) + 1
-_M32 = np.uint64((1 << 32) - 1)
-_ROOT = 7  # multiplicative generator of the field
-_MAX_NTT_LOG = 32  # 2**32 divides p - 1, so sizes up to 2**32 have roots
-
-
-def _addmod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    s = x + y
-    ov = s < x
-    if ov.any():
-        s[ov] += _M32  # wrapped by 2**64 == 2**32 - 1 (mod p)
-    big = s >= _P
-    if big.any():
-        s[big] -= _P
-    return s
-
-def _submod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    d = x - y
-    borrow = x < y
-    if borrow.any():
-        d[borrow] -= _M32  # wrapped d = x - y + 2**64; true value is d - (2**32 - 1) mod p
-    return d
-
-
-def _mulmod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x_lo = x & _M32
-    x_hi = x >> np.uint64(32)
-    y_lo = y & _M32
-    y_hi = y >> np.uint64(32)
-    ll = x_lo * y_lo
-    lh = x_lo * y_hi
-    hl = x_hi * y_lo
-    hh = x_hi * y_hi
-    # 128-bit product as (hi64, lo64) without overflowing uint64 anywhere.
-    mid = (ll >> np.uint64(32)) + (lh & _M32) + (hl & _M32)
-    lo64 = (ll & _M32) | ((mid & _M32) << np.uint64(32))
-    hi64 = hh + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
-    # Reduce: with hi64 = d*2**32 + c, value == lo64 + c*(2**32 - 1) - d (mod p).
-    c = hi64 & _M32
-    d = hi64 >> np.uint64(32)
-    t = lo64 - d
-    under = lo64 < d
-    if under.any():
-        t[under] += _P
-    add = (c << np.uint64(32)) - c
-    r = t + add
-    ov = r < t
-    if ov.any():
-        r[ov] += _M32
-    big = r >= _P
-    if big.any():
-        r[big] -= _P
-    return r
-
-
-def _powmod_scalar(base: int, exp: int) -> int:
-    return pow(base, exp, _P_INT)
-
-
-def _power_array(w: int, count: int) -> np.ndarray:
-    """[w**0, w**1, ..., w**(count-1)] mod p, by repeated doubling."""
-    out = np.empty(count, dtype=np.uint64)
-    out[0] = 1
-    filled = 1
-    while filled < count:
-        step = np.uint64(_powmod_scalar(w, filled))
-        take = min(filled, count - filled)
-        out[filled : filled + take] = _mulmod(
-            out[:take], np.full(take, step, dtype=np.uint64)
-        )
-        filled += take
-    return out
-
-
-def _bit_reverse_permutation(n: int) -> np.ndarray:
-    logn = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.uint64)
-    rev = np.zeros(n, dtype=np.uint64)
-    for _ in range(logn):
-        rev = (rev << np.uint64(1)) | (idx & np.uint64(1))
-        idx >>= np.uint64(1)
-    return rev.astype(np.int64)
-
-
-def _ntt(a: np.ndarray, invert: bool) -> None:
-    """In-place iterative transform; length must be a power of two."""
-    n = len(a)
-    if n == 1:
-        return
-    a[:] = a[_bit_reverse_permutation(n)]
-    length = 2
-    while length <= n:
-        half = length // 2
-        w = _powmod_scalar(_ROOT, (_P_INT - 1) // length)
-        if invert:
-            w = _powmod_scalar(w, _P_INT - 2)
-        twiddle = _power_array(w, half)
-        view = a.reshape(n // length, length)
-        u = view[:, :half].copy()
-        v = _mulmod(view[:, half:], twiddle[None, :].repeat(n // length, axis=0))
-        view[:, :half] = _addmod(u, v)
-        view[:, half:] = _submod(u, v)
-        length *= 2
-    if invert:
-        inv_n = np.full(n, _powmod_scalar(n, _P_INT - 2), dtype=np.uint64)
-        a[:] = _mulmod(a, inv_n)
+# Worst-case rounding bound (Percival, Math. Comp. 72, 2003): a float64 FFT
+# convolution of length 2**k is off by at most about
+# ||a||_2 ||b||_2 * (3k + (3k+1)*sqrt(5) + 3k/sqrt(2)) * eps per entry,
+# assuming every twiddle factor is within eps/sqrt(2) of its exact value
+# (pocketfft, NumPy's back end, computes each one directly, not by
+# recurrence).  At the cap below, k = 33 counting rfft's real-to-complex
+# stage, ||a||_2 ||b||_2 <= sqrt(len(a) * len(b)) <= 2**31 for 0/1 inputs and
+# eps = 2**-53, which gives about 1e-4: far below 1/2, so rounding the integer
+# counts at 1/2 is exact.
+_MAX_FFT_LOG = 32
 
 
 def ntt_convolve_01(a_bits: np.ndarray, b_bits: np.ndarray) -> np.ndarray:
-    """Exact boolean convolution of two 0/1 vectors via the modular NTT.
+    """Exact boolean convolution of two 0/1 vectors via a float64 real FFT.
 
     Returns a 0/1 uint8 vector of length len(a) + len(b) - 1 whose k-th entry
-    is 1 iff some i + j == k has a[i] == b[j] == 1.  Exactness holds because
-    convolution counts are below the modulus.
+    is 1 iff some i + j == k has a[i] == b[j] == 1.  Rounding error stays
+    below 1/2 at every accepted length (see the bound above), so thresholding
+    the counts at 1/2 is exact.  The name is kept from the number-theoretic
+    transform this replaced, because the benchmark's layer trace binds it.
     """
     la, lb = len(a_bits), len(b_bits)
     if la == 0 or lb == 0:
         return np.zeros(0, dtype=np.uint8)
     out_len = la + lb - 1
     n = 1 << (out_len - 1).bit_length() if out_len > 1 else 1
-    if n.bit_length() - 1 > _MAX_NTT_LOG:
+    if n.bit_length() - 1 > _MAX_FFT_LOG:
         raise ValueError("convolution size exceeds supported transform length")
-    fa = np.zeros(n, dtype=np.uint64)
-    fb = np.zeros(n, dtype=np.uint64)
-    fa[:la] = a_bits.astype(np.uint64, copy=False)
-    fb[:lb] = b_bits.astype(np.uint64, copy=False)
-    _ntt(fa, invert=False)
-    _ntt(fb, invert=False)
-    fa = _mulmod(fa, fb)
-    _ntt(fa, invert=True)
-    return (fa[:out_len] != 0).astype(np.uint8)
+    fa = np.fft.rfft(a_bits, n)
+    fa *= np.fft.rfft(b_bits, n)
+    return (np.fft.irfft(fa, n)[:out_len] > 0.5).astype(np.uint8)
 
 
 # -- sumsets ------------------------------------------------------------------
@@ -384,7 +284,7 @@ def _sumset_shift_or(a: IntegerSet, b: IntegerSet) -> int:
     return acc
 
 
-def _sumset_ntt(a: IntegerSet, b: IntegerSet) -> int:
+def _sumset_fft(a: IntegerSet, b: IntegerSet) -> int:
     out_bits = ntt_convolve_01(_mask_to_bits(a.mask), _mask_to_bits(b.mask))
     return _bits_to_mask(out_bits)
 
@@ -401,7 +301,7 @@ def sumset(
 
     Shift-or runs when the output span is small or the sparser operand's
     popcount times the denser one's word count fits ``_SHIFT_OR_BUDGET``;
-    otherwise the NTT does.  Both are exact.  The clamp is applied after the
+    otherwise the FFT does.  Both are exact.  The clamp is applied after the
     full sumset is formed (results are identical either way; the caps the
     solvers pass keep spans bounded).
     """
@@ -413,7 +313,7 @@ def sumset(
     if out_span <= _SMALL_SPAN or pop * words <= _SHIFT_OR_BUDGET:
         mask = _sumset_shift_or(a, b)
     else:
-        mask = _sumset_ntt(a, b)
+        mask = _sumset_fft(a, b)
     if counters is not None:
         counters.conv_output_len += out_span
     return IntegerSet(a.offset + b.offset, mask).clamped(lo, hi)

@@ -187,12 +187,6 @@ class WeakExtendInstance:
     def length(self) -> int:
         return len(self.q)
 
-    def true_index(self, pos: int) -> int:
-        return self.offset + pos
-
-    def position(self, i: int) -> int:
-        return i - self.offset
-
     def resolve(self, handle: int | None) -> tuple[int, ...]:
         """The universe-restricted set behind a handle, cached per handle."""
         if handle is None:
@@ -244,9 +238,6 @@ class WeakExtendSolution:
     @property
     def length(self) -> int:
         return len(self.r)
-
-    def true_source(self, pos: int) -> int:
-        return self.offset + self.z[pos]
 
     def vector(self, pos: int) -> dict[int, int]:
         """Materialize the per-key counts behind position p."""

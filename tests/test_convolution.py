@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import pytest
 
+from smallweight import intset
 from smallweight.intset import (
     IntegerSet,
-    _sumset_ntt,
+    _bits_to_mask,
+    _sumset_fft,
     _sumset_shift_or,
     all_subset_sums,
     difference_set,
@@ -58,7 +61,7 @@ def test_sumset_matches_brute_force_all_backends():
         expected = brute_sumset(a, b)
         sets = [IntegerSet.from_iterable(a), IntegerSet.from_iterable(b)]
         offset = sets[0].offset + sets[1].offset
-        for transform in (_sumset_shift_or, _sumset_ntt):
+        for transform in (_sumset_shift_or, _sumset_fft):
             got = IntegerSet(offset, transform(*sets))
             assert set(got.values()) == expected, transform.__name__
         assert set(sumset(*sets).values()) == expected
@@ -106,6 +109,43 @@ def test_ntt_convolution_matches_numpy():
         ref = (np.convolve(a, b) > 0).astype(np.int64)
         assert got.shape == ref.shape
         assert ((got > 0).astype(np.int64) == ref).all()
+    # All-ones inputs maximize every count, the worst case for FFT rounding;
+    # their boolean convolution is all ones.
+    for log in (18, 19, 20):
+        ones = np.ones(1 << log, dtype=np.uint8)
+        got = ntt_convolve_01(ones, ones)
+        assert got.shape == ((2 << log) - 1,)
+        assert got.all()
+
+
+def test_ntt_length_guard_raises_before_allocating():
+    class Huge:
+        def __len__(self):
+            return 1 << 32
+
+    with pytest.raises(ValueError, match="supported transform length"):
+        ntt_convolve_01(Huge(), Huge())
+
+
+def test_sumset_dense_large_spans_take_the_fft(monkeypatch):
+    # Span 2**17 with popcounts above 8192: the size the w_max = 256 fold
+    # builds, beyond _SHIFT_OR_BUDGET, so sumset routes to the FFT.
+    calls = []
+
+    def counted(a_bits, b_bits):
+        calls.append(len(a_bits) + len(b_bits) - 1)
+        return ntt_convolve_01(a_bits, b_bits)
+
+    monkeypatch.setattr(intset, "ntt_convolve_01", counted)
+    rng = np.random.default_rng(36)
+    span = 1 << 17
+    for density in (0.07, 0.5):
+        a = IntegerSet(-5, _bits_to_mask(rng.random(span) < density) | 1)
+        b = IntegerSet(3, _bits_to_mask(rng.random(span) < 0.07) | 1)
+        assert min(len(a), len(b)) > 8192
+        expected = IntegerSet(a.offset + b.offset, _sumset_shift_or(a, b))
+        assert sumset(a, b) == expected
+    assert len(calls) == 2
 
 
 def test_all_subset_sums_matches_bitset():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -91,3 +92,11 @@ def test_limits_enforced_at_parse_time():
         parse_instance("knapsack 1 4\n1048577 3\n")
     with pytest.raises(InstanceFormatError):
         parse_instance("knapsack 1 1125899906842625\n2 3\n")
+
+
+def test_many_blank_lines_rejected_in_linear_time():
+    text = "knapsack 0 0\n" + "\n" * 10**5
+    t0 = time.perf_counter()
+    with pytest.raises(InstanceFormatError, match="expected 0 item lines, found"):
+        parse_instance(text)
+    assert time.perf_counter() - t0 < 2.0
