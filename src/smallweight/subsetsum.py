@@ -194,8 +194,8 @@ def fold_bundled_layers(
         if layer:
             pos = [v for v in layer if v > 0]
             neg = [-v for v in layer if v < 0]
-            t_plus = all_subset_sums(pos, lo=0, hi=cap_t, counters=counters)
-            t_minus = all_subset_sums(neg, lo=0, hi=cap_t, counters=counters)
+            t_plus = all_subset_sums(pos, lo=0, hi=cap_t)
+            t_minus = all_subset_sums(neg, lo=0, hi=cap_t)
             t_layer = difference_set(t_plus, t_minus, counters=counters)
             s = sumset(s, t_layer, lo=-cap_s, hi=cap_s, counters=counters)
         if trace is not None:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 import pytest
 
 from smallweight.model import ContractError, Counters
 from smallweight.weakextend import (
     APSegment,
-    TabulatedGain,
     WeakExtendInstance,
     WeakExtendSolution,
     _reflect_instance,
@@ -27,7 +27,6 @@ from smallweight.weakextend import (
     isolating_colorings,
     large_b_extend,
     max_solutions,
-    recompute_objective,
     restrict_instance,
     singleton_extend,
     small_b_extend,
@@ -37,6 +36,63 @@ from smallweight.weakextend import (
 
 
 # -- construction helpers ------------------------------------------------------
+
+
+class TabulatedGain:
+    """Gain from an explicit increment table, with a steep concave tail.
+
+    ``gain(x)`` sums the first x increments; past the table the increments
+    keep falling by ``tail_drop`` per step, keeping the whole function
+    strictly concave on x >= 0 so that oversized counts never win.
+    """
+
+    __slots__ = ("_prefix", "_drop")
+
+    def __init__(self, increments: Sequence[int], tail_drop: int | None = None):
+        incs = [int(v) for v in increments]
+        prefix = [0]
+        for a, b in zip(incs, incs[1:]):
+            if b >= a:
+                raise ContractError("gain increments must strictly decrease")
+        for v in incs:
+            prefix.append(prefix[-1] + v)
+        if tail_drop is None:
+            tail_drop = max(1, (incs[0] - incs[-1] + 1) if incs else 1)
+        if tail_drop < 1:
+            raise ContractError("tail drop must be positive")
+        self._prefix = prefix
+        self._drop = tail_drop
+
+    def gain(self, x: int) -> int:
+        if x < 0:
+            raise ValueError("counts are non-negative")
+        prefix = self._prefix
+        m = len(prefix) - 1
+        if x <= m:
+            return prefix[x]
+        extra = x - m
+        last = prefix[m] - prefix[m - 1] if m else 0
+        return prefix[m] + extra * last - self._drop * extra * (extra + 1) // 2
+
+
+def recompute_objective(
+    instance: WeakExtendInstance, solution: WeakExtendSolution, pos: int
+) -> int | None:
+    """Re-evaluate a solution entry from its source and counts.
+
+    ``instance`` must be the instance the solution solved (after any
+    restriction).  Returns None where the solution is undefined; otherwise
+    the source profit plus the summed gains, which must equal ``r[pos]``.
+    """
+    if solution.r[pos] is None:
+        return None
+    base = instance.q[solution.z[pos]]
+    if base is None:
+        raise ContractError("defined solution entry with undefined source")
+    total = base
+    for key, cnt in solution.vector(pos).items():
+        total += instance.gains[key].gain(cnt)
+    return total
 
 
 def make_instance(q, sets, gains, offset=0):
