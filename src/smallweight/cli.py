@@ -118,29 +118,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # solving
 
 
-def _timed_knapsack(
-    instance: KnapsackInstance, algo: str, proximity_c: int
-) -> RunReport:
+def _timed_knapsack(instance: KnapsackInstance, algo: str) -> RunReport:
     counters = Counters()
     start = time.perf_counter()
-    value, selection = solve_01_knapsack(
-        instance, algo=algo, proximity_c=proximity_c, counters=counters
-    )
+    value, selection = solve_01_knapsack(instance, algo=algo, counters=counters)
     millis = (time.perf_counter() - start) * 1000.0
     return RunReport(algo, value, selection, millis, counters.entry_evals, counters.conv_output_len)
 
 
-def _timed_subsetsum(
-    instance: SubsetSumInstance, algo: str, proximity_c: int
-) -> RunReport:
+def _timed_subsetsum(instance: SubsetSumInstance, algo: str) -> RunReport:
     counters = Counters()
     start = time.perf_counter()
     if algo == "subsetsum-bitset":
         value = max(bitset_subset_sums(instance.weights, instance.t), default=0)
     else:
-        value = solve_subset_sum(
-            instance, proximity_c=proximity_c, counters=counters
-        ).value
+        value = solve_subset_sum(instance, counters=counters).value
     millis = (time.perf_counter() - start) * 1000.0
     return RunReport(algo, value, None, millis, counters.entry_evals, counters.conv_output_len)
 
@@ -162,29 +154,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
             )
         if args.witness:
             raise InstanceFormatError("--witness is not supported for subsetsum algorithms")
-        report = _timed_subsetsum(instance, algo, args.proximity_c)
-        if args.paranoid:
-            redo = _timed_subsetsum(instance, algo, 2 * args.proximity_c)
-            if redo.value != report.value:
-                print(
-                    f"paranoid re-check disagrees: {report.value} vs {redo.value}",
-                    file=sys.stderr,
-                )
-                return 1
+        report = _timed_subsetsum(instance, algo)
     else:
         if args.algo in SUBSETSUM_ALGOS:
             raise InstanceFormatError(
                 f"algorithm {args.algo!r} expects a subsetsum instance, got knapsack"
             )
-        report = _timed_knapsack(instance, args.algo, args.proximity_c)
-        if args.paranoid:
-            redo = _timed_knapsack(instance, args.algo, 2 * args.proximity_c)
-            if redo.value != report.value:
-                print(
-                    f"paranoid re-check disagrees: {report.value} vs {redo.value}",
-                    file=sys.stderr,
-                )
-                return 1
+        report = _timed_knapsack(instance, args.algo)
     print(f"value {report.value}")
     if args.witness and report.selection is not None:
         print("items " + " ".join(str(i) for i in report.selection))
@@ -199,7 +175,7 @@ def _verify_value(instance: KnapsackInstance | SubsetSumInstance, algo: str) -> 
     if algo in SUBSETSUM_ALGOS:
         if not isinstance(instance, SubsetSumInstance):
             raise InstanceFormatError("subsetsum algorithm on a knapsack instance")
-        return _timed_subsetsum(instance, algo, 4).value
+        return _timed_subsetsum(instance, algo).value
     if not isinstance(instance, KnapsackInstance):
         raise InstanceFormatError("knapsack algorithm on a subsetsum instance")
     return solve_01_knapsack(instance, algo=algo)[0]
@@ -300,8 +276,8 @@ def _bench_report(
         millis = (time.perf_counter() - start) * 1000.0
         return RunReport(algo, value, None, millis, 0, 0)
     if algo in SUBSETSUM_ALGOS:
-        return _timed_subsetsum(instance, algo, 4)
-    return _timed_knapsack(instance, algo, 4)
+        return _timed_subsetsum(instance, algo)
+    return _timed_knapsack(instance, algo)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -365,12 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("input", nargs="?", default="-", help="instance path, '-' for stdin")
     solve.add_argument("--algo", choices=SOLVE_ALGOS, default="auto")
     solve.add_argument("--witness", action="store_true", help="also print the chosen items")
-    solve.add_argument("--proximity-c", type=int, default=4)
-    solve.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="re-solve with a doubled proximity constant and compare",
-    )
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="cross-check two algorithms on random instances")

@@ -9,16 +9,17 @@ capacity and answer take-everything instances outright.  Then:
   restricted to the proximity window (below): at most candidates x
   (b1 / 2 + 1) * w_max cells, independent of t.
 * ``proximity`` runs the paper pipeline: greedy prefix plus two-phase
-  concave extension (below).
+  concave extension (below).  It is the reference route and runs only when
+  forced: on every measured cell it was orders of magnitude slower than the
+  window.
 * ``brute`` enumerates every subset (n <= 24).
 * ``auto`` estimates the cost of ``bellman`` (n * (t + 1) cells) and of
   ``window`` (its exact cell count, known from per-weight candidate counts
   before anything window-sized is allocated), weighs both with per-cell and
   per-row constants measured on a grid of instances, and takes the cheaper of
-  the two that fit ``MEMORY_BUDGET``.  When the window does not fit, it falls
-  back to ``prefer_proximity``'s estimate between the pipeline and bellman,
-  takes the other of the two when the preferred one does not fit, and raises
-  ``ResourceLimitError`` before allocating when none fits.
+  the two that fit ``MEMORY_BUDGET``.  When neither fits, it raises
+  ``ResourceLimitError`` before allocating either.  It never takes the
+  pipeline.
 
 Both greedy-based routes start from ``profiles.greedy_prefix``: the one exact
 efficiency order (``profiles.efficiency_order``) and the longest prefix of it
@@ -76,6 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    PROXIMITY_C,
     ContractError,
     Counters,
     KnapsackInstance,
@@ -131,11 +133,14 @@ _LIST_BYTES = 5 * 40
 _UNREACHED = -(1 << 62)
 
 
-def prefer_proximity(norm: NormalizedKnapsack, proximity_c: int = 4) -> bool:
+def prefer_proximity(norm: NormalizedKnapsack) -> bool:
     """Estimate whether the proximity pipeline beats the capacity DP.
 
     Compares the proximity work b0 * w_max * (|W| + b1) against the DP's
-    n * t cell count; the pipeline wins in the large-capacity regime.
+    n * t cell count; the estimate favours the pipeline in the large-capacity
+    regime.  ``auto`` does not call it: ``choose_route`` weighs only the
+    window and bellman, because the pipeline lost to the window on every
+    measured cell.
     """
     n = norm.n
     if n == 0 or norm.trivial_all:
@@ -144,7 +149,7 @@ def prefer_proximity(norm: NormalizedKnapsack, proximity_c: int = 4) -> bool:
     b1 = min(n, 2 * w_max)
     distinct = len({it.weight for it in norm.items})
     west = min(n, 2 * distinct)
-    b0 = min(math.isqrt(4 * proximity_c * proximity_c * w_max), b1)
+    b0 = min(math.isqrt(4 * PROXIMITY_C * PROXIMITY_C * w_max), b1)
     return b0 * w_max * (west + b1) < n * norm.t
 
 
@@ -315,7 +320,9 @@ def _pipeline_nbytes(prox: ProximityInstance) -> int:
     """A lower bound on the bytes the pipeline allocates: the base table (int64
     values and candidates, int32 counts, bool flags and update row per cell,
     plus one packed fired row per key) and the two per-index Python lists of
-    each extension phase.  The extension solvers' own work comes on top."""
+    each extension phase.  The extension solvers' own work comes on top: at
+    w_max=1024, n=4096 this bound is 184 MB and the pipeline grows past 3 GB.
+    It guards only the forced route; ``auto`` never runs the pipeline."""
     lo, hi = base_window(prox)
     size = hi - lo + 1
     hi1, lo2 = _extension_windows(prox, lo, hi)
@@ -323,18 +330,14 @@ def _pipeline_nbytes(prox: ProximityInstance) -> int:
     return base + 16 * ((hi1 - lo + 1) + (hi1 - lo2 + 1))
 
 
-def choose_route(
-    norm: NormalizedKnapsack, proximity_c: int = 4
-) -> tuple[str, WindowPlan | ProximityInstance | None]:
-    """The route ``auto`` takes on a non-trivial instance, with what it built
-    while choosing: the window plan or the proximity instance.
+def choose_route(norm: NormalizedKnapsack) -> tuple[str, WindowPlan | None]:
+    """The route ``auto`` takes on a non-trivial instance, "window" or
+    "bellman", with the window plan it built while choosing (None for bellman).
 
-    Picks the cheaper of bellman and window by the measured cost model among
-    those that fit ``MEMORY_BUDGET``.  When the window does not fit,
-    ``prefer_proximity`` decides between the pipeline and bellman, and the
-    other one runs when the preferred one does not fit (for the pipeline: when
-    even ``_pipeline_nbytes``'s lower bound exceeds the budget).  With none
-    fitting it raises ResourceLimitError before allocating any of them.
+    Picks the cheaper of the two by the measured cost model among those that
+    fit ``MEMORY_BUDGET``.  With neither fitting it raises ResourceLimitError
+    before allocating either: only the window plan's per-item arrays exist by
+    then.
     """
     n, t = norm.n + len(norm.dropped), norm.t  # bellman keeps a row per input item
     bellman_fits = _bellman_fits(n, t)
@@ -349,17 +352,11 @@ def choose_route(
         if bellman_fits and bellman_ns < window_ns:
             return "bellman", None
         return "window", plan
-    if bellman_fits and not prefer_proximity(norm, proximity_c):
-        return "bellman", None
-    prox = build_proximity_instance(norm, proximity_c)
-    if _pipeline_nbytes(prox) <= MEMORY_BUDGET:
-        return "proximity", prox
     if bellman_fits:
         return "bellman", None
     raise ResourceLimitError(
-        f"no exact route fits the {MEMORY_BUDGET}-byte budget: window needs "
-        f"{plan.nbytes} bytes, bellman {_bellman_nbytes(n, t)}, the pipeline "
-        f"at least {_pipeline_nbytes(prox)}"
+        f"neither window nor bellman fits the {MEMORY_BUDGET}-byte budget: "
+        f"window needs {plan.nbytes} bytes, bellman {_bellman_nbytes(n, t)}"
     )
 
 
@@ -493,15 +490,15 @@ def solve_01_knapsack(
     instance: KnapsackInstance,
     *,
     algo: str = "auto",
-    proximity_c: int = 4,
     counters: Counters | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Optimal value and one optimal selection (1-based item indices).
 
     ``algo`` picks the route: "window" (DP over moves in the proximity window),
     "proximity" (the prefix + extension pipeline), "bellman" (capacity DP),
-    "brute" (exhaustive, small n), or "auto", which takes the cheapest route
-    that fits its budgets (``choose_route``).
+    "brute" (exhaustive, small n), or "auto", which takes the cheaper of
+    window and bellman among those that fit the budgets and raises
+    ResourceLimitError when neither does (``choose_route``).
     """
     if algo not in ALGO_CHOICES:
         raise ValueError(f"unknown algorithm {algo!r}, pick one of {ALGO_CHOICES}")
@@ -515,9 +512,9 @@ def solve_01_knapsack(
             sum(it.profit for it in norm.items),
             tuple(it.index for it in norm.items),
         )
-    built = None
+    plan = None
     if algo == "auto":
-        algo, built = choose_route(norm, proximity_c)
+        algo, plan = choose_route(norm)
     if algo == "bellman":
         if _bellman_nbytes(instance.n, instance.t) > MEMORY_BUDGET:
             raise ResourceLimitError(
@@ -527,7 +524,8 @@ def solve_01_knapsack(
         return bellman_solve(instance)
 
     if algo == "window":
-        plan = built if isinstance(built, WindowPlan) else plan_window(norm)
+        if plan is None:
+            plan = plan_window(norm)
         gain, picked = solve_window(plan, counters=counters)
         moved = plan.ids[picked]
         dropped = set(moved[plan.shifts[picked] < 0].tolist())
@@ -535,10 +533,7 @@ def solve_01_knapsack(
         added = moved[plan.shifts[picked] > 0].tolist()
         return _checked(instance, plan.prefix_profit + gain, kept + added)
 
-    if isinstance(built, ProximityInstance):
-        prox = built
-    else:
-        prox = build_proximity_instance(norm, proximity_c)
+    prox = build_proximity_instance(norm)
     gain, counts = solve_proximity(prox, counters=counters)
     removals: set[int] = set()
     additions: set[int] = set()

@@ -28,6 +28,11 @@ MAX_WEIGHT = 1 << 20
 MAX_PROFIT = 1 << 32
 MAX_TARGET = 1 << 50
 
+# The proximity constant C.  It bounds the knapsack pipeline's support size
+# b0 = floor(2C * sqrt(w_max)) and the subset-sum fold's windows: one-sided
+# layer sums up to 2C * w_max^1.5, running sums within +-5C * w_max^1.5.
+PROXIMITY_C = 4
+
 
 class InstanceFormatError(ValueError):
     """Raised for malformed instance text or out-of-limit instance data."""

@@ -25,6 +25,7 @@ import numpy as np
 
 from .model import (
     MAX_WEIGHT,
+    PROXIMITY_C,
     ContractError,
     Counters,
     NormalizedKnapsack,
@@ -253,21 +254,17 @@ class ProximityInstance:
         return sorted((k for k in self.profiles if k < 0), reverse=True)
 
 
-def build_proximity_instance(
-    normalized: NormalizedKnapsack, proximity_c: int = 4
-) -> ProximityInstance:
+def build_proximity_instance(normalized: NormalizedKnapsack) -> ProximityInstance:
     """Tie-break, take the greedy prefix, and build per-weight profiles.
 
     Requires a non-trivial instance (not everything fits), which guarantees
     the residual capacity lands in [0, w_max).  Support and copy-count bounds:
     b1 = min(n, 2*w_max) caps how many items any optimal solution moves, so
     profiles keep at most b1 steps per key; b0 = min(floor(2C*sqrt(w_max)),
-    b1, |W|) caps optimal support sizes.  floor (not ceiling) keeps the bound
-    itself at most 2C*sqrt(w_max), and is equally complete because supports
-    are integer-sized.
+    b1, |W|) caps optimal support sizes, with C = ``PROXIMITY_C``.  floor (not
+    ceiling) keeps the bound itself at most 2C*sqrt(w_max), and is equally
+    complete because supports are integer-sized.
     """
-    if proximity_c < 1:
-        raise ValueError("proximity constant must be at least 1")
     if normalized.trivial_all:
         raise ValueError("take-everything instances never reach the reducer")
     codec, adjusted = break_ties(normalized)
@@ -308,7 +305,7 @@ def build_proximity_instance(
             shift=codec.shift,
         )
     b0 = min(
-        math.isqrt(4 * proximity_c * proximity_c * w_max),
+        math.isqrt(4 * PROXIMITY_C * PROXIMITY_C * w_max),
         b1,
         max(len(profiles), 1),
     )

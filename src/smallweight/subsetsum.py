@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 from .intset import IntegerSet, all_subset_sums, difference_set, sumset
 from .model import (
+    PROXIMITY_C,
     Counters,
     NormalizedSubsetSum,
     ResourceLimitError,
@@ -155,7 +156,6 @@ def binary_bundle(z_values: Sequence[int], w_max: int) -> BundledLayers:
 def fold_bundled_layers(
     bundled: BundledLayers,
     w_max: int,
-    proximity_c: int = 4,
     *,
     counters: Counters | None = None,
     trace: Callable[[int, IntegerSet], None] | None = None,
@@ -167,19 +167,17 @@ def fold_bundled_layers(
     beta+1 to beta doubles every element.  Per layer the positive and negated
     negative parts are convolved separately up to the one-sided cap
     floor(2C * w_max^1.5), combined as a difference set, added to the running
-    set, and clamped to +-floor(5C * w_max^1.5) in scale-beta coordinates.
+    set, and clamped to +-floor(5C * w_max^1.5) in scale-beta coordinates,
+    with C = ``PROXIMITY_C``.
 
     The returned set is sound (every element is a sum of a sub-multiset of
     the bundle) and complete for any solution whose layered partial sums
-    respect the window — which proximity guarantees for optimal solutions
-    when the constant is large enough.
+    respect the window, which proximity guarantees for optimal solutions.
 
     ``trace``, if given, is called as trace(beta, scaled_set) with each
     intermediate set, enabling invariant checks without changing behavior.
     """
-    if proximity_c < 1:
-        raise ValueError("proximity constant must be at least 1")
-    c2 = proximity_c * proximity_c
+    c2 = PROXIMITY_C * PROXIMITY_C
     cap_t = math.isqrt(4 * c2 * w_max**3)  # floor(2C * w_max^1.5)
     cap_s = math.isqrt(25 * c2 * w_max**3)  # floor(5C * w_max^1.5)
     if 2 * cap_s + 1 > _MAX_WINDOW_SPAN:
@@ -206,7 +204,6 @@ def fold_bundled_layers(
 def solve_subset_sum(
     instance: SubsetSumInstance,
     *,
-    proximity_c: int = 4,
     counters: Counters | None = None,
     trace: Callable[[int, IntegerSet], None] | None = None,
 ) -> SubsetSumAnswer:
@@ -224,13 +221,7 @@ def solve_subset_sum(
         return SubsetSumAnswer(total, total == instance.t)
     residual = reduce_subset_sum(normalized)
     bundled = binary_bundle(residual.z_values, residual.w_max)
-    s0 = fold_bundled_layers(
-        bundled,
-        residual.w_max,
-        proximity_c,
-        counters=counters,
-        trace=trace,
-    )
+    s0 = fold_bundled_layers(bundled, residual.w_max, counters=counters, trace=trace)
     reachable = s0.clamped(None, residual.target)
     if not reachable:
         raise AssertionError("final set lost the empty solution")

@@ -126,7 +126,7 @@ def mid_suite():
         elif norm.trivial_all:
             prefix_ids = tuple(it.index for it in norm.items)
         else:
-            prefix_ids = build_proximity_instance(norm, PROXIMITY_C).prefix_ids
+            prefix_ids = build_proximity_instance(norm).prefix_ids
         l1, l0 = proximity_check(prefix_ids, selection, inst)
         distances.append((trial, l1, l0, norm.w_max if norm.n else 1))
     elapsed = time.perf_counter() - t0
@@ -465,7 +465,7 @@ def test_c11_window_dp_matches_brute_force_and_capacity_dp():
         norm = normalize_knapsack(inst)
         if norm.n == 0 or norm.trivial_all:
             return
-        prefix_ids = build_proximity_instance(norm, PROXIMITY_C).prefix_ids
+        prefix_ids = build_proximity_instance(norm).prefix_ids
         l1, _ = proximity_check(prefix_ids, selection, inst)
         worst_fill = max(worst_fill, l1 / (2 * norm.w_max))
         over += l1 > 2 * norm.w_max

@@ -150,25 +150,6 @@ def test_solve_malformed_and_missing_inputs(capsys, tmp_path, monkeypatch):
     assert code == 3 and "error:" in errtext
 
 
-def test_solve_paranoid_mode(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "a.txt"
-    path.write_text(TWO_ITEMS_T4)
-    code, out, _ = run(capsys, ["solve", str(path), "--paranoid"])
-    assert code == 0 and out == "value 4\n"
-
-    spath = tmp_path / "s.txt"
-    spath.write_text(SUBSET)
-    code, out, _ = run(capsys, ["solve", str(spath), "--paranoid"])
-    assert code == 0 and out == "value 11\n"
-
-    def rigged(instance, *, algo, proximity_c=4, counters=None):
-        return proximity_c, ()
-
-    monkeypatch.setattr(cli, "solve_01_knapsack", rigged)
-    code, out, errtext = run(capsys, ["solve", str(path), "--paranoid"])
-    assert code == 1 and out == "" and "paranoid" in errtext
-
-
 # -- verify ---------------------------------------------------------------------
 
 
@@ -213,10 +194,8 @@ def test_verify_mismatch_writes_a_replayable_artifact(capsys, tmp_path, monkeypa
 
     real = cli.solve_01_knapsack
 
-    def buggy(instance, *, algo="auto", proximity_c=4, counters=None):
-        value, selection = real(
-            instance, algo="bellman", proximity_c=proximity_c, counters=counters
-        )
+    def buggy(instance, *, algo="auto", counters=None):
+        value, selection = real(instance, algo="bellman", counters=counters)
         if algo == "bellman":
             return value + 1, selection
         return value, selection

@@ -71,9 +71,6 @@ def test_degenerate_instances():
 def test_unknown_algo_rejected():
     with pytest.raises(ValueError):
         solve_01_knapsack(inst_of([(1, 1)], 1), algo="magic")
-    with pytest.raises(ValueError):
-        solve_01_knapsack(inst_of([(1, 1), (2, 1)], 2), algo="proximity",
-                          proximity_c=0)
 
 
 def test_residual_solver_single_key_counts_beyond_one():
@@ -195,14 +192,6 @@ def test_solution_stays_near_the_greedy_prefix():
         checked += 1
 
 
-def test_proximity_constant_can_be_raised():
-    rng = random.Random(44)
-    for _ in range(60):
-        inst = rand_knapsack(rng, n_max=20, w_max=10)
-        base = solve_01_knapsack(inst, algo="proximity")[0]
-        assert solve_01_knapsack(inst, algo="proximity", proximity_c=6)[0] == base
-
-
 def test_engine_estimate_prefers_the_pipeline_at_large_capacity():
     heavy = inst_of([(64, 1)] * 200, 64 * 200 - 1)
     assert prefer_proximity(normalize_knapsack(heavy))
@@ -281,24 +270,53 @@ def test_routes_over_budget_raise_before_allocating():
 
 
 def test_auto_falls_back_by_budget_when_the_window_does_not_fit(monkeypatch):
+    # Bellman fits where the window does not: auto runs bellman.
+    tiny = random_instance(2, 256, 32, 0.02)
+    norm = normalize_knapsack(tiny)
+    bellman = knapsack._bellman_nbytes(tiny.n, tiny.t)
+    assert bellman < plan_window(norm).nbytes
+    want = solve_01_knapsack(tiny, algo="window")[0]
+    monkeypatch.setattr(knapsack, "MEMORY_BUDGET", bellman)
+    assert choose_route(norm) == ("bellman", None)
+    assert solve_recording_route(tiny, monkeypatch) == ("bellman", want)
+
+    # Neither fits: auto raises before allocating, even where the pipeline's
+    # lower bound fits, and the forced pipeline still solves.
     rng = random.Random(9)
     items = [(rng.randint(254, 256), rng.randint(0, 1024)) for _ in range(256)]
-    inst = inst_of(items, sum(w for w, _ in items) // 2)
-    norm = normalize_knapsack(inst)
-    window = plan_window(norm).nbytes
-    bellman = knapsack._bellman_nbytes(inst.n, inst.t)
+    small = inst_of(items, sum(w for w, _ in items) // 2)
+    norm = normalize_knapsack(small)
     pipeline = knapsack._pipeline_nbytes(build_proximity_instance(norm))
-    assert pipeline < window < bellman and not prefer_proximity(norm)
-    # prefer_proximity picks bellman, which does not fit: the pipeline runs.
+    assert pipeline < plan_window(norm).nbytes < knapsack._bellman_nbytes(small.n, small.t)
     monkeypatch.setattr(knapsack, "MEMORY_BUDGET", pipeline)
-    assert choose_route(norm)[0] == "proximity"
-    route, value = solve_recording_route(inst, monkeypatch)
-    assert route == "proximity"
-    assert value == bellman_solve(inst)[0]
-    # Nothing fits: auto raises instead of running a route out of memory.
-    monkeypatch.setattr(knapsack, "MEMORY_BUDGET", pipeline - 1)
-    with pytest.raises(ResourceLimitError):
-        choose_route(norm)
+    assert solve_01_knapsack(small, algo="proximity")[0] == bellman_solve(small)[0]
+
+    # At w_max=1024, n=4096 the pipeline's bound (~180 MB) fits the real
+    # budget, but the pipeline itself grew past 3 GB: auto must not touch it.
+    big = random_instance(10, 4096, 1024, 0.45)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("auto must not price the pipeline")
+
+    for name in ("build_proximity_instance", "prefer_proximity", "_pipeline_nbytes"):
+        monkeypatch.setattr(knapsack, name, forbidden)
+    for inst, budget in ((small, pipeline), (big, MEMORY_BUDGET)):
+        monkeypatch.setattr(knapsack, "MEMORY_BUDGET", budget)
+        norm = normalize_knapsack(inst)
+        need = (
+            f"window needs {plan_window(norm).nbytes} bytes, "
+            f"bellman {knapsack._bellman_nbytes(inst.n, inst.t)}$"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=need):
+                choose_route(norm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        with pytest.raises(ResourceLimitError):
+            solve_01_knapsack(inst)
 
 
 def test_counters_populated_by_the_pipeline():

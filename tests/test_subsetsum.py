@@ -149,12 +149,6 @@ def test_layer_fold_intermediates_are_attainable():
                 assert x in truth, (inst, beta, x)
 
 
-def test_layer_fold_rejects_bad_constant():
-    bundled = binary_bundle([2, -1], 2)
-    with pytest.raises(ValueError):
-        fold_bundled_layers(bundled, 2, proximity_c=0)
-
-
 # -- end to end ---------------------------------------------------------------
 
 
@@ -173,13 +167,6 @@ def test_solve_edge_cases():
     assert solve_subset_sum(SubsetSumInstance((3, 4), 7)) == SubsetSumAnswer(7, True)
     assert solve_subset_sum(SubsetSumInstance((3, 4), 99)) == SubsetSumAnswer(7, False)
     assert solve_subset_sum(SubsetSumInstance((2, 2, 2), 5)) == SubsetSumAnswer(4, False)
-
-
-def test_solve_with_larger_proximity_constant_agrees():
-    rng = random.Random(54)
-    for _ in range(100):
-        inst = rand_subsetsum(rng, n_max=25, w_max=15)
-        assert solve_subset_sum(inst) == solve_subset_sum(inst, proximity_c=8)
 
 
 def test_counters_record_convolution_lengths():
