@@ -368,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""0-1 knapsack solver: the exact routes and the ``auto`` router.
+"""0-1 knapsack solver: the exact routes behind ``solve_01_knapsack``.
 
 Every route starts from the same normalization: drop items heavier than the
 capacity and answer take-everything instances outright.  Then:
@@ -13,13 +13,11 @@ capacity and answer take-everything instances outright.  Then:
   forced: on every measured cell it was orders of magnitude slower than the
   window.
 * ``brute`` enumerates every subset (n <= 24).
-* ``auto`` estimates the cost of ``bellman`` (n * (t + 1) cells) and of
-  ``window`` (its exact cell count, known from per-weight candidate counts
-  before anything window-sized is allocated), weighs both with per-cell and
-  per-row constants measured on a grid of instances, and takes the cheaper of
-  the two that fit ``MEMORY_BUDGET``.  When neither fits, it raises
-  ``ResourceLimitError`` before allocating either.  It never takes the
-  pipeline.
+* ``auto`` (the default) runs the window route, exactly as ``window`` does.
+  The window never needs more cells or bytes than bellman (below), so
+  bellman covers no instance the window cannot; when the window does not fit
+  ``MEMORY_BUDGET``, ``solve_window`` raises ``ResourceLimitError`` before it
+  allocates.  ``auto`` never takes the pipeline.
 
 Both greedy-based routes start from ``profiles.greedy_prefix``: the one exact
 efficiency order (``profiles.efficiency_order``) and the longest prefix of it
@@ -44,6 +42,27 @@ table to that window therefore keeps the optimum's path, and every value in
 the table is a genuine move set, so the best offset <= t* is the optimum.
 Values are plain profits in int64 (|values| <= n * 2^32 < 2^55), so no tie
 codec is needed; the witness comes from per-candidate packed take bits.
+
+**The window never needs more than bellman.**  On a non-trivial instance
+with n input items and capacity t:
+
+* Width.  Removal candidates are distinct greedy-prefix items, and the
+  prefix weighs t - t*, so lo >= -(t - t*); and hi <= t*.  The table thus
+  has hi - lo + 1 <= t + 1 offsets, the length of bellman's row.
+* Rows.  Candidates are distinct kept items, so there are at most
+  norm.n <= n of them, bellman's row count.
+* Cells.  No row is wider than the table, so ``plan.cells <= n * (t + 1)``,
+  the number of cells bellman updates.
+* Bytes.  ``WindowPlan.nbytes <= rows * (ceil((t + 1) / 8) + 200) +
+  32 * (t + 1)``.  For t >= 229, ceil((t + 1) / 8) + 200 <= t + 1, so this
+  is at most ``_bellman_nbytes(n, t) = (n + 32) * (t + 1)``.  For t <= 228,
+  every kept weight is at most t, so there are at most 2t signed weights,
+  each with at most b1 <= 2 * w_max <= 2t candidates: at most
+  4 * 228^2 = 207,936 rows, and ``nbytes`` < 48 MB.
+
+So with a ``MEMORY_BUDGET`` of at least 48 MB (it is 256 MiB), wherever
+bellman fits the budget the window fits it too, and where the window is over
+budget, bellman is as well.
 
 **Proximity pipeline.**  Tie-break profits so efficiencies are strictly
 distinct; take the maximal greedy prefix; reduce to the residual problem
@@ -85,7 +104,7 @@ from .model import (
     ResourceLimitError,
     normalize_knapsack,
 )
-from .oracles import DEFAULT_CELL_BUDGET, bellman_solve, brute_force_knapsack
+from .oracles import bellman_solve, brute_force_knapsack
 from .profiles import (
     ProximityInstance,
     base_window,
@@ -99,7 +118,6 @@ __all__ = [
     "ALGO_CHOICES",
     "MEMORY_BUDGET",
     "WindowPlan",
-    "choose_route",
     "plan_window",
     "prefer_proximity",
     "solve_proximity",
@@ -110,18 +128,11 @@ __all__ = [
 ALGO_CHOICES = ("auto", "window", "proximity", "bellman", "brute")
 
 # Bytes the bellman take matrix, the window DP's take bits and work arrays, or
-# the pipeline's tables may occupy.  ``auto`` checks it before picking a
-# route; a forced route raises ResourceLimitError before it allocates beyond
-# it (for the pipeline, beyond a lower bound on its tables).
+# the pipeline's tables may occupy.  Each route raises ResourceLimitError
+# before it allocates beyond it (the pipeline, beyond a lower bound on its
+# tables).  It must stay at least 48 MB for the module docstring's "bellman
+# fits implies the window fits" to hold.
 MEMORY_BUDGET = 1 << 28
-
-# Cost model for ``auto``, in nanoseconds, fitted on the measured grid listed
-# in CHANGES.md (n 256..2^16, w_max 16..256, t/total 0.1/0.45/0.9).
-_BELLMAN_NS_PER_CELL = 2.9
-_BELLMAN_NS_PER_ITEM = 8_400.0
-_WINDOW_NS_PER_CELL = 1.5
-_WINDOW_NS_PER_ROW = 8_000.0
-_WINDOW_NS_PER_ITEM = 1_800.0
 
 # Five Python lists per window candidate (shift, gain, source bounds, take-bit
 # offset), each a pointer plus an int object.
@@ -138,9 +149,8 @@ def prefer_proximity(norm: NormalizedKnapsack) -> bool:
 
     Compares the proximity work b0 * w_max * (|W| + b1) against the DP's
     n * t cell count; the estimate favours the pipeline in the large-capacity
-    regime.  ``auto`` does not call it: ``choose_route`` weighs only the
-    window and bellman, because the pipeline lost to the window on every
-    measured cell.
+    regime.  ``auto`` does not call it: it runs the window, because the
+    pipeline lost to the window on every measured cell.
     """
     n = norm.n
     if n == 0 or norm.trivial_all:
@@ -300,11 +310,6 @@ def _bellman_nbytes(n: int, t: int) -> int:
     return n * (t + 1) + 32 * (t + 1)
 
 
-def _bellman_fits(n: int, t: int) -> bool:
-    """Whether ``bellman_solve`` on n items stays inside both budgets."""
-    return n * (t + 1) <= DEFAULT_CELL_BUDGET and _bellman_nbytes(n, t) <= MEMORY_BUDGET
-
-
 def _extension_windows(prox: ProximityInstance, lo: int, hi: int) -> tuple[int, int]:
     """``solve_proximity``'s phase windows from the base window [lo, hi]: phase
     1 covers [lo, hi1], phase 2 [lo2, hi1].  Reachable indices only grow, by at
@@ -328,36 +333,6 @@ def _pipeline_nbytes(prox: ProximityInstance) -> int:
     hi1, lo2 = _extension_windows(prox, lo, hi)
     base = 22 * size + len(prox.profiles) * ((size + 7) // 8)
     return base + 16 * ((hi1 - lo + 1) + (hi1 - lo2 + 1))
-
-
-def choose_route(norm: NormalizedKnapsack) -> tuple[str, WindowPlan | None]:
-    """The route ``auto`` takes on a non-trivial instance, "window" or
-    "bellman", with the window plan it built while choosing (None for bellman).
-
-    Picks the cheaper of the two by the measured cost model among those that
-    fit ``MEMORY_BUDGET``.  With neither fitting it raises ResourceLimitError
-    before allocating either: only the window plan's per-item arrays exist by
-    then.
-    """
-    n, t = norm.n + len(norm.dropped), norm.t  # bellman keeps a row per input item
-    bellman_fits = _bellman_fits(n, t)
-    plan = plan_window(norm)
-    if plan.nbytes <= MEMORY_BUDGET:
-        bellman_ns = _BELLMAN_NS_PER_CELL * n * (t + 1) + _BELLMAN_NS_PER_ITEM * n
-        window_ns = (
-            _WINDOW_NS_PER_CELL * plan.cells
-            + _WINDOW_NS_PER_ROW * int(np.count_nonzero(plan.row_widths))
-            + _WINDOW_NS_PER_ITEM * norm.n
-        )
-        if bellman_fits and bellman_ns < window_ns:
-            return "bellman", None
-        return "window", plan
-    if bellman_fits:
-        return "bellman", None
-    raise ResourceLimitError(
-        f"neither window nor bellman fits the {MEMORY_BUDGET}-byte budget: "
-        f"window needs {plan.nbytes} bytes, bellman {_bellman_nbytes(n, t)}"
-    )
 
 
 def solve_proximity(
@@ -496,9 +471,10 @@ def solve_01_knapsack(
 
     ``algo`` picks the route: "window" (DP over moves in the proximity window),
     "proximity" (the prefix + extension pipeline), "bellman" (capacity DP),
-    "brute" (exhaustive, small n), or "auto", which takes the cheaper of
-    window and bellman among those that fit the budgets and raises
-    ResourceLimitError when neither does (``choose_route``).
+    "brute" (exhaustive, small n), or "auto", the same route as "window":
+    the window never needs more than bellman (module docstring).  A route
+    that does not fit ``MEMORY_BUDGET`` raises ResourceLimitError before it
+    allocates.
     """
     if algo not in ALGO_CHOICES:
         raise ValueError(f"unknown algorithm {algo!r}, pick one of {ALGO_CHOICES}")
@@ -512,9 +488,6 @@ def solve_01_knapsack(
             sum(it.profit for it in norm.items),
             tuple(it.index for it in norm.items),
         )
-    plan = None
-    if algo == "auto":
-        algo, plan = choose_route(norm)
     if algo == "bellman":
         if _bellman_nbytes(instance.n, instance.t) > MEMORY_BUDGET:
             raise ResourceLimitError(
@@ -523,9 +496,8 @@ def solve_01_knapsack(
             )
         return bellman_solve(instance)
 
-    if algo == "window":
-        if plan is None:
-            plan = plan_window(norm)
+    if algo in ("auto", "window"):
+        plan = plan_window(norm)
         gain, picked = solve_window(plan, counters=counters)
         moved = plan.ids[picked]
         dropped = set(moved[plan.shifts[picked] < 0].tolist())

@@ -45,9 +45,10 @@ class Counters:
     ``entry_evals`` counts matrix entry evaluations performed by the row-maxima
     machinery; ``conv_output_len`` accumulates the output lengths of integer
     set convolutions; ``window_cells`` counts the cells the knapsack window
-    DP updates (at most its candidates times its window width), so it is
-    positive exactly when a solve took the window route.  All only ever
-    increase.
+    DP updates (at most its candidates times its window width, never more
+    than bellman's n * (t + 1)), so it is positive exactly when a solve took
+    the window route, as ``auto`` does on every non-trivial instance.  All
+    only ever increase.
     """
 
     entry_evals: int = 0

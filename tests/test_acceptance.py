@@ -23,7 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import rand_knapsack, rand_subsetsum
+from conftest import KNAPSACK_FAMILIES, rand_knapsack, rand_subsetsum
 from smallweight.cli import BENCH_HEADER, main
 from smallweight.derandom import (
     SetSystem,
@@ -33,6 +33,7 @@ from smallweight.derandom import (
     pairwise_hash_sample,
     set_balancing,
 )
+from smallweight import knapsack
 from smallweight.knapsack import solve_01_knapsack
 from smallweight.model import Counters, normalize_knapsack, normalize_subsetsum
 from smallweight.oracles import (
@@ -451,7 +452,7 @@ def test_c10_scaling_report_from_bench(tmp_path):
 # -- criterion 11: the window DP against both knapsack oracles -------------------
 
 
-def test_c11_window_dp_matches_brute_force_and_capacity_dp():
+def test_c11_window_dp_matches_brute_force_and_capacity_dp(monkeypatch):
     rng = random.Random(1111)
     t0 = time.perf_counter()
     worst_fill = 0.0
@@ -484,3 +485,29 @@ def test_c11_window_dp_matches_brute_force_and_capacity_dp():
            f"== capacity DP on 10000/10000 (n<=50, every 4th dense), every witness "
            f"re-priced; realized l1 vs 2*w_max: worst fill {worst_fill:.2f}, "
            f"{over} above the bound, in {elapsed:.1f}s < 30s")
+
+    # Pisinger's correlated families through auto, which runs the window alone.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("auto must not run the capacity DP")
+
+    monkeypatch.setattr(knapsack, "bellman_solve", forbidden)
+    rng = random.Random(1112)
+    t0 = time.perf_counter()
+    windowed = 0
+    for trial in range(5_000):
+        family = KNAPSACK_FAMILIES[trial % len(KNAPSACK_FAMILIES)]
+        inst = rand_knapsack(
+            rng, n_max=50, w_max=rng.randint(1, 25), t_max=600, family=family
+        )
+        counters = Counters()
+        value, selection = solve_01_knapsack(inst, algo="auto", counters=counters)
+        assert value == int(bellman_dp(inst)[inst.t]), f"auto={value} inst={inst}"
+        check_selection(inst, value, selection)
+        norm = normalize_knapsack(inst)
+        if norm.n and not norm.trivial_all:
+            assert counters.window_cells > 0, f"auto skipped the window: {inst}"
+            windowed += 1
+    report(f"C11 families ok: auto == capacity DP on 5000/5000 instances of "
+           f"{len(KNAPSACK_FAMILIES)} correlated families (n<=50, w<=25, t<=600), "
+           f"every witness re-priced, {windowed} non-trivial ones all through the "
+           f"window and none through bellman, in {time.perf_counter() - t0:.1f}s")

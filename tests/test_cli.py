@@ -150,6 +150,17 @@ def test_solve_malformed_and_missing_inputs(capsys, tmp_path, monkeypatch):
     assert code == 3 and "error:" in errtext
 
 
+def test_solve_out_of_memory_exits_three(capsys, tmp_path, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve_01_knapsack", out_of_memory)
+    path = tmp_path / "two.txt"
+    path.write_text(TWO_ITEMS_T4)
+    code, out, errtext = run(capsys, ["solve", str(path)])
+    assert (code, out, errtext) == (3, "", "error: out of memory\n")
+
+
 # -- verify ---------------------------------------------------------------------
 
 

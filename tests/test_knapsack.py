@@ -8,12 +8,11 @@ import tracemalloc
 
 import pytest
 
-from conftest import rand_knapsack
+from conftest import family_profit, rand_knapsack
 from smallweight import knapsack
 from smallweight.knapsack import (
     ALGO_CHOICES,
     MEMORY_BUDGET,
-    choose_route,
     plan_window,
     prefer_proximity,
     solve_01_knapsack,
@@ -227,26 +226,45 @@ def solve_recording_route(inst, monkeypatch):
 
 
 def test_auto_routes_by_measured_cost(monkeypatch):
-    # Mid capacity: the window DP wins (pipeline ~11 s, bellman and window
-    # tens of ms on a 2-core VM); auto must not take the pipeline.
-    mid = random_instance(1, 1024, 64, 0.45)
-    assert choose_route(normalize_knapsack(mid))[0] == "window"
-    route, value = solve_recording_route(mid, monkeypatch)
-    assert route == "window"
-    assert value == bellman_solve(mid)[0]
-    # Tiny capacity: about 2e4 bellman cells beat the window's per-row set-up.
-    tiny = random_instance(2, 256, 32, 0.02)
-    route, value = solve_recording_route(tiny, monkeypatch)
-    assert route == "bellman"
-    assert value == solve_01_knapsack(tiny, algo="window")[0]
+    # auto runs the window on every instance, even at tiny capacity, where
+    # bellman has only about 2e4 cells to update.
+    for inst in (random_instance(1, 1024, 64, 0.45), random_instance(2, 256, 32, 0.02)):
+        want = bellman_solve(inst)[0]
+        assert solve_recording_route(inst, monkeypatch) == ("window", want)
 
 
 def test_auto_takes_the_window_where_bellman_does_not_fit(monkeypatch):
     big = random_instance(3, 1 << 16, 16, 0.45)
-    assert not knapsack._bellman_fits(big.n, big.t)
+    assert knapsack._bellman_nbytes(big.n, big.t) > MEMORY_BUDGET
     route, value = solve_recording_route(big, monkeypatch)
     assert route == "window"
     assert value == solve_01_knapsack(big, algo="proximity")[0]
+
+
+def test_window_never_needs_more_than_bellman():
+    # The module docstring's proof, checked on uncorrelated, strongly
+    # correlated and p = w instances, with t on both sides of 228.
+    rng = random.Random(23)
+    ts = (1, 2, 7, 60, 227, 228, 229, 230, 300)
+    grid = [(n, t, w) for n in (3, 17, 200) for t in ts for w in (1, 4, t, 300, 1 << 20)]
+    for n in (4096, 1 << 16):
+        grid += [(n, t, rng.choice((4, t, 1 << 20))) for t in (228, 229, 300)]
+    checked = 0
+    for n, t, w_max in grid:
+        for family in ("uncorrelated", "strongly-correlated", "subset-sum"):
+            weights = [rng.randint(1, w_max) for _ in range(n)]
+            items = [(w, family_profit(rng, w, w_max, family)) for w in weights]
+            norm = normalize_knapsack(inst_of(items, t))
+            if norm.n == 0 or norm.trivial_all:
+                continue
+            plan = plan_window(norm)
+            bellman = knapsack._bellman_nbytes(n, t)
+            assert plan.hi - plan.lo <= t
+            assert plan.cells <= n * (t + 1)
+            assert plan.nbytes <= (bellman if t >= 229 else 48_000_000)
+            assert bellman > MEMORY_BUDGET or plan.nbytes <= MEMORY_BUDGET
+            checked += 1
+    assert checked >= 200
 
 
 def test_routes_over_budget_raise_before_allocating():
@@ -255,7 +273,7 @@ def test_routes_over_budget_raise_before_allocating():
     heavy = inst_of(items, sum(w for w, _ in items) // 2)
     norm = normalize_knapsack(heavy)
     assert plan_window(norm).nbytes > MEMORY_BUDGET
-    assert not knapsack._bellman_fits(heavy.n, heavy.t)
+    assert knapsack._bellman_nbytes(heavy.n, heavy.t) > MEMORY_BUDGET
     assert knapsack._pipeline_nbytes(build_proximity_instance(norm)) > MEMORY_BUDGET
     # Every route is over budget, so auto raises too, as does each forced route.
     for algo in ("window", "bellman", "proximity", "auto"):
@@ -270,18 +288,8 @@ def test_routes_over_budget_raise_before_allocating():
 
 
 def test_auto_falls_back_by_budget_when_the_window_does_not_fit(monkeypatch):
-    # Bellman fits where the window does not: auto runs bellman.
-    tiny = random_instance(2, 256, 32, 0.02)
-    norm = normalize_knapsack(tiny)
-    bellman = knapsack._bellman_nbytes(tiny.n, tiny.t)
-    assert bellman < plan_window(norm).nbytes
-    want = solve_01_knapsack(tiny, algo="window")[0]
-    monkeypatch.setattr(knapsack, "MEMORY_BUDGET", bellman)
-    assert choose_route(norm) == ("bellman", None)
-    assert solve_recording_route(tiny, monkeypatch) == ("bellman", want)
-
-    # Neither fits: auto raises before allocating, even where the pipeline's
-    # lower bound fits, and the forced pipeline still solves.
+    # The window does not fit: auto raises before allocating, even where the
+    # pipeline's lower bound fits, and the forced pipeline still solves.
     rng = random.Random(9)
     items = [(rng.randint(254, 256), rng.randint(0, 1024)) for _ in range(256)]
     small = inst_of(items, sum(w for w, _ in items) // 2)
@@ -296,27 +304,22 @@ def test_auto_falls_back_by_budget_when_the_window_does_not_fit(monkeypatch):
     big = random_instance(10, 4096, 1024, 0.45)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("auto must not price the pipeline")
+        raise AssertionError("auto must run only the window")
 
-    for name in ("build_proximity_instance", "prefer_proximity", "_pipeline_nbytes"):
+    for name in ("build_proximity_instance", "prefer_proximity", "_pipeline_nbytes",
+                 "bellman_solve"):
         monkeypatch.setattr(knapsack, name, forbidden)
     for inst, budget in ((small, pipeline), (big, MEMORY_BUDGET)):
         monkeypatch.setattr(knapsack, "MEMORY_BUDGET", budget)
-        norm = normalize_knapsack(inst)
-        need = (
-            f"window needs {plan_window(norm).nbytes} bytes, "
-            f"bellman {knapsack._bellman_nbytes(inst.n, inst.t)}$"
-        )
+        need = f"window DP needs {plan_window(normalize_knapsack(inst)).nbytes} bytes, "
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match=need):
-                choose_route(norm)
+            with pytest.raises(ResourceLimitError, match=f"^{need}budget is {budget}$"):
+                solve_01_knapsack(inst)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
-        with pytest.raises(ResourceLimitError):
-            solve_01_knapsack(inst)
 
 
 def test_counters_populated_by_the_pipeline():
